@@ -18,7 +18,7 @@ from .fields import (
     poly_to_str,
     poly_trim,
 )
-from .matrix import Matrix, companion_matrix
+from .matrix import Matrix, companion_matrix, minimal_polynomial
 
 __all__ = [
     "FunctionField",
@@ -28,6 +28,7 @@ __all__ = [
     "RationalField",
     "companion_matrix",
     "field_from_spec",
+    "minimal_polynomial",
     "poly_add",
     "poly_divmod",
     "poly_eval",

@@ -377,9 +377,6 @@ class FunctionField:
         den = poly_scale(B, den, lead_inv)
         return RatFunc(num, den)
 
-    def from_poly(self, coeffs):
-        return self.make(coeffs)
-
     def coerce(self, x):
         if isinstance(x, RatFunc):
             return x

@@ -1,13 +1,48 @@
-"""Dense matrices over an exact field, with rref/solve/kernel/rank kernels.
+"""Dense matrices over an exact field: arithmetic, Gauss-Jordan elimination
+and the minimal polynomial of a tuple of square matrices.
 
 Matrices are immutable (tuple-of-tuples storage); every operation returns a
-new value.  Target sizes are small (dimensions well under 200), so the
-kernels are straightforward Gauss-Jordan with field ops bound to locals.
+new value.  Target sizes are small (dimensions well under 200).
+
+- The public constructor ``Matrix(field, rows, cols, data)`` checks the shape
+  of its data.  Results computed here (products, sums, ``rref``, transposes,
+  stacks, ...) are built by ``Matrix._make``, which trusts the shape.
+- Elimination (``rref`` and what is built on it) and ``minimal_polynomial``
+  change whole rows through two row kernels chosen from the field's type.
+  Over ``F_p`` these and ``__mul__`` compute on plain ints with one ``% p`` per
+  cell; over Q and k(t) they call the field's methods.
+- ``minimal_polynomial`` makes one incremental echelon pass over the
+  flattened powers instead of solving a new system for every degree.
 """
 
 from __future__ import annotations
 
+from itertools import count
+from operator import mul as _int_mul
+
 from ..errors import DimensionMismatch
+from .fields import PrimeField
+
+
+def _row_kernels(F):
+    """(scale, axpy) over F: scale(s, row) = s*row, axpy(row, f, prow) = row - f*prow."""
+    if isinstance(F, PrimeField):
+        p = F.p
+
+        def scale(s, row):
+            return [s * x % p for x in row]
+
+        def axpy(row, f, prow):
+            return [(a - f * b) % p for a, b in zip(row, prow)]
+    else:
+        mul, sub = F.mul, F.sub
+
+        def scale(s, row):
+            return [mul(s, x) for x in row]
+
+        def axpy(row, f, prow):
+            return [sub(a, mul(f, b)) for a, b in zip(row, prow)]
+    return scale, axpy
 
 
 class Matrix:
@@ -22,6 +57,14 @@ class Matrix:
             raise DimensionMismatch(f"expected {rows}x{cols} data")
         self.data = data
 
+    @classmethod
+    def _make(cls, field, rows, cols, data):
+        """A matrix from rows already known to have the stated shape."""
+        out = object.__new__(cls)
+        out.field, out.rows, out.cols = field, rows, cols
+        out.data = tuple(map(tuple, data))
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -32,13 +75,13 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._make(field, rows, cols, [(field.zero,) * cols] * rows)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._make(field, n, n, [[o if i == j else z for j in range(n)]
+                                       for i in range(n)])
 
     @classmethod
     def column(cls, field, entries):
@@ -80,31 +123,34 @@ class Matrix:
     def entries_flat(self):
         return tuple(x for row in self.data for x in row)
 
+    def _columns(self):
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._check_same_shape(other)
         add = self.field.add
-        return Matrix(self.field, self.rows, self.cols,
-                      [[add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Matrix._make(self.field, self.rows, self.cols,
+                            [[add(a, b) for a, b in zip(r1, r2)]
+                             for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
         self._check_same_shape(other)
         sub = self.field.sub
-        return Matrix(self.field, self.rows, self.cols,
-                      [[sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Matrix._make(self.field, self.rows, self.cols,
+                            [[sub(a, b) for a, b in zip(r1, r2)]
+                             for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols,
-                      [[neg(a) for a in r] for r in self.data])
+        return Matrix._make(self.field, self.rows, self.cols,
+                            [[neg(a) for a in r] for r in self.data])
 
     def scale(self, s):
         mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols,
-                      [[mul(s, a) for a in r] for r in self.data])
+        return Matrix._make(self.field, self.rows, self.cols,
+                            [[mul(s, a) for a in r] for r in self.data])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -113,8 +159,12 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         F = self.field
+        bt = other._columns()
+        if isinstance(F, PrimeField):
+            p = F.p
+            out = [[sum(map(_int_mul, r, c)) % p for c in bt] for r in self.data]
+            return Matrix._make(F, self.rows, other.cols, out)
         add, mul, zero = F.add, F.mul, F.zero
-        bt = other.transpose().data
         out = []
         for r in self.data:
             out_row = []
@@ -125,11 +175,10 @@ class Matrix:
                         acc = add(acc, mul(a, b))
                 out_row.append(acc)
             out.append(out_row)
-        return Matrix(F, self.rows, other.cols, out)
+        return Matrix._make(F, self.rows, other.cols, out)
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.col(j) for j in range(self.cols)])
+        return Matrix._make(self.field, self.cols, self.rows, self._columns())
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -140,14 +189,14 @@ class Matrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Matrix._make(self.field, self.rows, self.cols + other.cols,
+                            [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatch("vstack col mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.data + other.data)
+        return Matrix._make(self.field, self.rows + other.rows, self.cols,
+                            self.data + other.data)
 
     @staticmethod
     def block_diag(field, blocks):
@@ -164,11 +213,11 @@ class Matrix:
                     row[c0 + j] = brow[j]
             r0 += b.rows
             c0 += b.cols
-        return Matrix(field, rows, cols, data)
+        return Matrix._make(field, rows, cols, data)
 
     def submatrix(self, row_range, col_range):
-        return Matrix(self.field, len(row_range), len(col_range),
-                      [[self.data[i][j] for j in col_range] for i in row_range])
+        return Matrix._make(self.field, len(row_range), len(col_range),
+                            [[self.data[i][j] for j in col_range] for i in row_range])
 
     def select_columns(self, cols):
         return self.submatrix(range(self.rows), list(cols))
@@ -179,7 +228,7 @@ class Matrix:
         """Reduced row-echelon form; returns (R, pivot_columns)."""
         F = self.field
         zero, one = F.zero, F.one
-        sub, mul, inv = F.sub, F.mul, F.inv
+        scale, axpy = _row_kernels(F)
         m = [list(r) for r in self.data]
         nrows, ncols = self.rows, self.cols
         pivots = []
@@ -187,30 +236,21 @@ class Matrix:
         for c in range(ncols):
             if r == nrows:
                 break
-            pr = None
-            for i in range(r, nrows):
-                if m[i][c] != zero:
-                    pr = i
-                    break
+            pr = next((i for i in range(r, nrows) if m[i][c] != zero), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != one:
-                ipv = inv(pv)
-                m[r] = [mul(ipv, x) for x in m[r]]
-            prow = m[r]
+            if m[r][c] != one:
+                m[r] = scale(F.inv(m[r][c]), m[r])
+            # the pivot row is zero left of c, so only columns c.. change
+            tail = m[r][c:]
             for i in range(nrows):
-                if i == r:
-                    continue
                 f = m[i][c]
-                if f == zero:
-                    continue
-                mi = m[i]
-                m[i] = [sub(a, mul(f, b)) for a, b in zip(mi, prow)]
+                if i != r and f != zero:
+                    m[i][c:] = axpy(m[i][c:], f, tail)
             pivots.append(c)
             r += 1
-        return Matrix(F, nrows, ncols, m), tuple(pivots)
+        return Matrix._make(F, nrows, ncols, m), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -229,8 +269,8 @@ class Matrix:
                 v[pj] = F.neg(R.data[i][fj])
             cols.append(v)
         if not cols:
-            return Matrix(F, self.cols, 0, [[] for _ in range(self.cols)])
-        return Matrix(F, self.cols, len(cols), [list(r) for r in zip(*cols)])
+            return Matrix._make(F, self.cols, 0, [()] * self.cols)
+        return Matrix._make(F, self.cols, len(cols), zip(*cols))
 
     def solve(self, b: "Matrix"):
         """Some X with self*X = b, or None if the system is inconsistent."""
@@ -248,7 +288,7 @@ class Matrix:
         for i, pj in enumerate(pivots):
             for k in range(b.cols):
                 X[pj][k] = R.data[i][n + k]
-        return Matrix(F, n, b.cols, X)
+        return Matrix._make(F, n, b.cols, X)
 
     def inverse(self):
         """Two-sided inverse, or None if not square/invertible."""
@@ -309,4 +349,40 @@ def companion_matrix(field, monic_coeffs):
         data[i][i - 1] = field.one
     for i in range(n):
         data[i][n - 1] = field.neg(monic_coeffs[i])
-    return Matrix(field, n, n, data)
+    return Matrix._make(field, n, n, data)
+
+
+def minimal_polynomial(mats):
+    """Ascending coefficients of the monic minimal polynomial of a tuple of
+    square matrices over one field, taken together (block-diagonally).
+
+    One incremental echelon pass over the flattened joint powers I, A, A^2, ...:
+    each new power is reduced against the stored rows while its coefficients
+    in the powers are tracked, and the first power that reduces to zero gives
+    the polynomial.  When every matrix is 0x0 the result is x, by convention.
+    """
+    F = mats[0].field
+    zero, one = F.zero, F.one
+    if any(a.rows != a.cols for a in mats):
+        raise DimensionMismatch("minimal polynomial of a non-square matrix")
+    n = sum(a.rows for a in mats)
+    if n == 0:
+        return (zero, one)
+    scale, axpy = _row_kernels(F)
+    stored = []   # (pivot, row with a 1 at the pivot, row as coefficients in the powers)
+    powers = [Matrix.identity(F, a.rows) for a in mats]
+    for k in count():   # by Cayley-Hamilton a dependency appears by k = n
+        vec = [x for pw in powers for row in pw.data for x in row]
+        coeffs = [zero] * (n + 1)
+        coeffs[k] = one
+        for piv, row, row_coeffs in stored:
+            f = vec[piv]
+            if f != zero:
+                vec = axpy(vec, f, row)
+                coeffs = axpy(coeffs, f, row_coeffs)
+        piv = next((j for j, x in enumerate(vec) if x != zero), None)
+        if piv is None:
+            return tuple(coeffs[:k + 1])
+        inv = F.inv(vec[piv])
+        stored.append((piv, scale(inv, vec), scale(inv, coeffs)))
+        powers = [a * pw for a, pw in zip(mats, powers)]

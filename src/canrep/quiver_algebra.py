@@ -363,11 +363,6 @@ class CanonicalAlgebra(QuiverAlgebra):
             "params": [self.field.to_str(x) for x in self.params],
         }
 
-    def with_field(self, field) -> "CanonicalAlgebra":
-        """The same weighted algebra with scalars moved into another field."""
-        params = [field.parse(self.field.to_str(x)) for x in self.params]
-        return CanonicalAlgebra(field, self.weights, params)
-
 
 class DefectForm:
     """Defect as a linear form on dimension vectors.

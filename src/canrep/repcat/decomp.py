@@ -1,15 +1,24 @@
 """Indecomposable decomposition, isomorphism testing, and brick detection.
 
-The splitter computes End(m), picks elements (basis first, then seeded random
-combinations), and splits m along the primary decomposition of the element's
-minimal polynomial.  A module is certified indecomposable when End is local:
-dim End = 1, or every candidate has a primary minimal polynomial (hence is a
-unit or nilpotent) with an exhaustive idempotent search as the tiny-field
-fallback.
+The splitter (``_split_leaves``) computes a basis of End(m) and tries its
+elements in a fixed order: the basis itself, then seeded random combinations.
+For each candidate it takes the minimal polynomial (``exactla``'s one
+incremental routine, on the vertex maps together) and factors it.  If the
+polynomial has two or more distinct monic factors, m splits into the kernels
+of their powers, and the splitter recurses into each piece.  Factorizations
+are kept in a dict for one top-level ``indecomposable_summands`` call, since
+the same few polynomials recur across trials and pieces; sympy is asked once
+per distinct polynomial in that call.
+
+A module is reported local when dim End = 1, or when no candidate split it
+and, over F_2 or F_3 with dim End <= 6, an exhaustive search found no
+nontrivial idempotent.  Outside that small case the verdict rests on the
+random trials (probabilistic, not a proof).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +26,9 @@ from fractions import Fraction
 from ..errors import DecompositionError
 from ..exactla import (
     FunctionField,
-    Matrix,
     PrimeField,
     RationalField,
+    minimal_polynomial,
     poly_divmod,
     poly_mul,
     poly_scale,
@@ -44,24 +53,7 @@ _DEFAULT_TRIALS = 64
 
 def endo_minimal_polynomial(phi: Morphism):
     """Ascending coefficients of the minimal polynomial of an endomorphism."""
-    F = phi.source.field
-    n = phi.source.total_dim
-    flats = []
-    power = Morphism.identity(phi.source)
-    for k in range(n + 1):
-        flat = power.flatten()
-        if not flat:
-            return (F.zero, F.one)  # zero module: minpoly of 0 map, conventionally x
-        if flats:
-            cols = Matrix(F, len(flat), len(flats), [list(r) for r in zip(*flats)])
-            sol = cols.solve(Matrix.column(F, flat))
-            if sol is not None:
-                coeffs = [F.neg(sol.data[i][0]) for i in range(sol.rows)]
-                coeffs.append(F.one)
-                return tuple(coeffs)
-        flats.append(flat)
-        power = phi.after(power)
-    raise DecompositionError("minimal polynomial search exceeded the dimension bound")
+    return minimal_polynomial(tuple(phi.maps.values()))
 
 
 def _sympy_mod():
@@ -186,79 +178,82 @@ class Decomposition:
     iso: Morphism             # sum_rep -> original, invertible
     iso_inverse: Morphism
 
-    def multiset_dims(self):
-        return sorted((r.dims_tuple(), k) for r, k in self.summands)
 
+def _primary_split(m: Representation, phi: Morphism, factorizations):
+    """Split m along the primary decomposition of phi, or None.
 
-def _morphism_power(f: Morphism, n: int) -> Morphism:
-    out = Morphism.identity(f.source)
-    base = f
-    while n > 0:
-        if n & 1:
-            out = out.after(base)
-        n >>= 1
-        if n:
-            base = base.after(base)
-    return out
-
-
-def _eval_poly_on_endo(phi: Morphism, coeffs) -> Morphism:
-    F = phi.source.field
-    out = Morphism.zero(phi.source, phi.source)
-    ident = Morphism.identity(phi.source)
-    power = ident
-    for c in coeffs:
-        if c != F.zero:
-            out = out + power.scale(c)
-        power = phi.after(power)
-    return out
-
-
-def _primary_split(m: Representation, phi: Morphism):
-    """Split m along the primary decomposition of phi, or None."""
+    ``factorizations`` maps a minimal polynomial to its factors (None when it
+    cannot be factored) and is filled as polynomials are met.
+    """
     minpoly = endo_minimal_polynomial(phi)
-    try:
-        factors = factor_poly(m.field, minpoly)
-    except DecompositionError:
-        return None
-    if len(factors) < 2:
+    if minpoly not in factorizations:
+        try:
+            factorizations[minpoly] = factor_poly(m.field, minpoly)
+        except DecompositionError:
+            factorizations[minpoly] = None
+    factors = factorizations[minpoly]
+    if factors is None or len(factors) < 2:
         return None
     n = m.total_dim
     pieces = []
     for fac, _ in factors:
-        g = _morphism_power(_eval_poly_on_endo(phi, fac), n)
-        piece, incl = kernel(g)
-        pieces.append((piece, incl))
+        g = Morphism(m, m, {v: a.eval_poly(fac).power(n) for v, a in phi.maps.items()},
+                     check=False)
+        pieces.append(kernel(g))
     if sum(p.total_dim for p, _ in pieces) != n:
         raise DecompositionError("primary decomposition does not fill the module")
     return pieces
 
 
-def _candidate_endos(basis, rng, trials):
-    for b in basis:
-        yield b
+def _combination(basis, coeffs) -> Morphism:
+    """sum_i coeffs[i] * basis[i]; basis is nonempty."""
+    zero = basis[0].source.field.zero
+    f = Morphism.zero(basis[0].source, basis[0].target)
+    for c, b in zip(coeffs, basis):
+        if c != zero:
+            f = f + b.scale(c)
+    return f
+
+
+def _candidates(basis, rng, trials):
+    """The basis, then up to ``trials`` nonzero seeded random combinations of it."""
     F = basis[0].source.field
+    yield from basis
     for _ in range(trials):
-        f = Morphism.zero(basis[0].source, basis[0].source)
-        for b in basis:
-            f = f + b.scale(F.random(rng))
+        f = _combination(basis, [F.random(rng) for _ in basis])
         if not f.is_zero():
             yield f
 
 
-def _idempotent_fallback(m, basis, rng):
+def _grid_values(field, bound):
+    if isinstance(field, PrimeField):
+        return [field.coerce(v) for v in range(min(field.p, bound + 1))]
+    return [field.from_int(v) for v in range(bound + 1)]
+
+
+def _search(basis, rng, accept, grid_bound):
+    """The first candidate, then (for at most 3 basis elements) the first
+    combination with coefficients in a small grid, that passes ``accept``."""
+    for f in _candidates(basis, rng, _DEFAULT_TRIALS):
+        if accept(f):
+            return f
+    if len(basis) <= 3:
+        values = _grid_values(basis[0].source.field, grid_bound)
+        for coeffs in itertools.product(values, repeat=len(basis)):
+            f = _combination(basis, coeffs)
+            if accept(f):
+                return f
+    return None
+
+
+def _idempotent_fallback(m, basis):
     """Exhaustive idempotent search in End(m), tiny fields and dim <= 6 only."""
     F = m.field
     if not isinstance(F, PrimeField) or F.p > 3 or len(basis) > 6:
         return None
     ident = Morphism.identity(m)
-    import itertools
-
     for coeffs in itertools.product(range(F.p), repeat=len(basis)):
-        f = Morphism.zero(m, m)
-        for c, b in zip(coeffs, basis):
-            if c:
-                f = f + b.scale(c)
+        f = _combination(basis, coeffs)
         if f.is_zero() or f == ident:
             continue
         if f.after(f) == f:
@@ -268,25 +263,24 @@ def _idempotent_fallback(m, basis, rng):
     return None
 
 
-def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves):
+def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factorizations):
     if m.is_zero():
         return
     basis = hom_basis(m, m)
     if len(basis) == 1:
         leaves.append((m, incl))
         return
-    for phi in _candidate_endos(basis, rng, trials):
-        pieces = _primary_split(m, phi)
+    for phi in _candidates(basis, rng, trials):
+        pieces = _primary_split(m, phi, factorizations)
         if pieces:
-            for piece, piece_incl in pieces:
-                _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves)
-            return
-    pieces = _idempotent_fallback(m, basis, rng)
+            break
+    else:
+        pieces = _idempotent_fallback(m, basis)
     if pieces:
         for piece, piece_incl in pieces:
-            _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves)
+            _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves, factorizations)
         return
-    # certified local: every candidate had a primary minimal polynomial
+    # reported local: no candidate (and no exhaustive idempotent search) split m
     leaves.append((m, incl))
 
 
@@ -294,7 +288,7 @@ def indecomposable_summands(m: Representation, rng=None, trials=_DEFAULT_TRIALS)
     """[(leaf, inclusion into m)]; the stacked inclusions are an isomorphism."""
     rng = rng if rng is not None else random.Random(0)
     leaves = []
-    _split_leaves(m, Morphism.identity(m), rng, trials, leaves)
+    _split_leaves(m, Morphism.identity(m), rng, trials, leaves, {})
     return leaves
 
 
@@ -340,12 +334,6 @@ def is_indecomposable(m: Representation, rng=None) -> bool:
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def _grid_values(field, bound):
-    if isinstance(field, PrimeField):
-        return [field.coerce(v) for v in range(min(field.p, bound + 1))]
-    return [field.from_int(v) for v in range(bound + 1)]
-
-
 def find_injective_morphism(m: Representation, n: Representation,
                             rng=None) -> Morphism | None:
     """Some monomorphism m -> n, or None (seeded search plus small grids)."""
@@ -353,28 +341,7 @@ def find_injective_morphism(m: Representation, n: Representation,
     basis = hom_basis(m, n)
     if not basis:
         return None
-    F = m.field
-    for b in basis:
-        if b.is_injective():
-            return b
-    for _ in range(_DEFAULT_TRIALS):
-        f = Morphism.zero(m, n)
-        for b in basis:
-            f = f + b.scale(F.random(rng))
-        if f.is_injective():
-            return f
-    if len(basis) <= 3:
-        import itertools
-
-        values = _grid_values(F, m.total_dim + n.total_dim)
-        for coeffs in itertools.product(values, repeat=len(basis)):
-            f = Morphism.zero(m, n)
-            for c, b in zip(coeffs, basis):
-                if c != F.zero:
-                    f = f + b.scale(c)
-            if f.is_injective():
-                return f
-    return None
+    return _search(basis, rng, Morphism.is_injective, m.total_dim + n.total_dim)
 
 
 def is_isomorphic(m: Representation, n: Representation, rng=None) -> Morphism | None:
@@ -393,29 +360,7 @@ def is_isomorphic(m: Representation, n: Representation, rng=None) -> Morphism | 
     basis = hom_basis(m, n)
     if not basis:
         return None
-    F = m.field
-    for b in basis:
-        inv = b.inverse()
-        if inv is not None:
-            return b
-    for _ in range(_DEFAULT_TRIALS):
-        f = Morphism.zero(m, n)
-        for b in basis:
-            f = f + b.scale(F.random(rng))
-        if f.inverse() is not None:
-            return f
-    if len(basis) <= 3:
-        import itertools
-
-        values = _grid_values(F, m.total_dim)
-        for coeffs in itertools.product(values, repeat=len(basis)):
-            f = Morphism.zero(m, n)
-            for c, b in zip(coeffs, basis):
-                if c != F.zero:
-                    f = f + b.scale(c)
-            if f.inverse() is not None:
-                return f
-    return None
+    return _search(basis, rng, lambda f: f.inverse() is not None, m.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +395,11 @@ def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     basis = hom_basis(m, m)
     if len(basis) == 1:
         return True
-    F = m.field
-    candidates = list(basis)
-    for _ in range(probes):
-        f = Morphism.zero(m, m)
-        for b in basis:
-            f = f + b.scale(F.random(rng))
-        if not f.is_zero():
-            candidates.append(f)
-    for phi in candidates:
+    # all probes are drawn before any is tested, so rng advances by a fixed amount
+    for phi in list(_candidates(basis, rng, probes)):
         minpoly = endo_minimal_polynomial(phi)
         if len(minpoly) == 2:
             continue
-        if not is_irreducible_poly(F, minpoly):
+        if not is_irreducible_poly(m.field, minpoly):
             return False
     return True

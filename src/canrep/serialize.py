@@ -50,7 +50,10 @@ def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Repres
             algebra = load_algebra(spec)
         else:
             algebra = algebra_from_spec(spec)
-    dims = {str(v): int(d) for v, d in data.get("dims", {}).items()}
+    try:
+        dims = {str(v): int(d) for v, d in data.get("dims", {}).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad dims: {exc}") from exc
     arrows = {}
     for label, rows in data.get("arrows", {}).items():
         arrow = algebra.arrow_by_label.get(label)
@@ -76,12 +79,16 @@ def ses_to_json(ses) -> dict:
 
 
 def load_json(path) -> dict:
+    """The JSON object in a file; any other top-level value is a ParseError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path} does not hold a JSON object")
+    return data
 
 
 def load_algebra(path) -> CanonicalAlgebra:

@@ -19,6 +19,7 @@ from .errors import TubeError
 from .exactla import (
     Matrix,
     companion_matrix,
+    minimal_polynomial,
     poly_parse,
     poly_to_str,
     poly_trim,
@@ -368,7 +369,7 @@ def tube_of(m: Representation, rng=None) -> TubeId:
                 return tube
         raise TubeError("module is not supported in a single tube")
     op = x1.inverse() * comps[2]
-    coeffs = _matrix_minpoly(op)
+    coeffs = minimal_polynomial((op,))
     from .repcat import factor_poly
 
     factors = factor_poly(alg.field, coeffs)
@@ -379,24 +380,6 @@ def tube_of(m: Representation, rng=None) -> TubeId:
     if hom_dim(regular_simples(alg, tube, rng)[0], m) == 0:
         raise TubeError("membership verification failed")
     return tube
-
-
-def _matrix_minpoly(mat: Matrix):
-    F = mat.field
-    flats = []
-    power = Matrix.identity(F, mat.rows)
-    for _ in range(mat.rows + 1):
-        flat = list(power.entries_flat())
-        if flats:
-            cols = Matrix(F, len(flat), len(flats), [list(r) for r in zip(*flats)])
-            sol = cols.solve(Matrix.column(F, flat))
-            if sol is not None:
-                coeffs = [F.neg(sol.data[i][0]) for i in range(sol.rows)]
-                coeffs.append(F.one)
-                return tuple(coeffs)
-        flats.append(flat)
-        power = power * mat
-    raise TubeError("minimal polynomial bound exceeded")
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,91 @@ def brute_force_hom_dim(m, n):
         dim += 1
     assert F.p ** dim == count, "solution set is not a subspace?"
     return dim
+
+
+# ---------------------------------------------------------------------------
+# textbook references for the exactla kernels (field methods on every cell)
+# ---------------------------------------------------------------------------
+
+def reference_minimal_polynomial(mats):
+    """Minimal polynomial of a tuple of square matrices, one solve per degree."""
+    F = mats[0].field
+    flats = []
+    powers = [Matrix.identity(F, a.rows) for a in mats]
+    for _ in range(sum(a.rows for a in mats) + 1):
+        flat = [x for pw in powers for x in pw.entries_flat()]
+        if not flat:
+            return (F.zero, F.one)  # zero module: x by convention
+        if flats:
+            cols = Matrix(F, len(flat), len(flats), [list(r) for r in zip(*flats)])
+            sol = cols.solve(Matrix.column(F, flat))
+            if sol is not None:
+                return tuple([F.neg(sol.data[i][0]) for i in range(sol.rows)] + [F.one])
+        flats.append(flat)
+        powers = [a * pw for a, pw in zip(mats, powers)]
+    raise AssertionError("minimal polynomial degree exceeded the size")
+
+
+def reference_mul(a, b):
+    F = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = F.zero
+            for k in range(a.cols):
+                acc = F.add(acc, F.mul(a.data[i][k], b.data[k][j]))
+            row.append(acc)
+        out.append(row)
+    return Matrix(F, a.rows, b.cols, out)
+
+
+def reference_rref(a):
+    """(rows of the reduced row-echelon form, pivot columns), cell by cell."""
+    F = a.field
+    m = [list(r) for r in a.data]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pr = next((i for i in range(r, a.rows) if m[i][c] != F.zero), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = F.inv(m[r][c])
+        for j in range(a.cols):
+            m[r][j] = F.mul(inv, m[r][j])
+        for i in range(a.rows):
+            if i != r:
+                f = m[i][c]
+                for j in range(a.cols):
+                    m[i][j] = F.sub(m[i][j], F.mul(f, m[r][j]))
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def reference_kernel_columns(a):
+    """One kernel vector per free column: 1 there, minus the pivot rows' entries."""
+    F = a.field
+    m, pivots = reference_rref(a)
+    out = []
+    for fj in (j for j in range(a.cols) if j not in pivots):
+        v = [F.zero] * a.cols
+        v[fj] = F.one
+        for i, pj in enumerate(pivots):
+            v[pj] = F.neg(m[i][fj])
+        out.append(v)
+    return out
+
+
+def reference_solve(a, b):
+    """The solution of a*x = b with every free unknown 0, or None."""
+    F = a.field
+    aug = Matrix(F, a.rows, a.cols + b.cols, [r1 + r2 for r1, r2 in zip(a.data, b.data)])
+    m, pivots = reference_rref(aug)
+    if any(c >= a.cols for c in pivots):
+        return None
+    x = [[F.zero] * b.cols for _ in range(a.cols)]
+    for i, pj in enumerate(pivots):
+        x[pj] = m[i][a.cols:]
+    return Matrix(F, a.cols, b.cols, x)

@@ -161,3 +161,24 @@ def test_chain_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["slopes"] == ["0", "1"]
     assert len(data["modules"]) == 2
+
+
+BAD_DIMS = ('{"algebra": {"field": {"kind": "Fp", "p": 5}, "weights": [], "params": []},'
+            ' "dims": {"0": "x"}, "arrows": {}}')
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[1, 2]", "rep"),       # top level is not an object
+    ("7", "algebra"),        # an algebra file holding a number
+    (BAD_DIMS, "rep"),       # a dimension that is not an integer
+], ids=["rep-array", "algebra-number", "bad-dims"])
+def test_malformed_json_is_a_parse_error(files, capsys, text, where):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(text)
+    if where == "rep":
+        argv = ["classify", "--rep", str(bad)]
+    else:
+        argv = ["classify", "--rep", files["pc"], "--algebra", str(bad)]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
