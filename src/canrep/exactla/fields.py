@@ -467,10 +467,12 @@ def field_from_spec(spec: dict):
     kind = spec.get("kind")
     if kind == "Q":
         return RationalField()
-    if kind == "Fp":
-        return PrimeField(int(spec["p"]))
     if kind == "Qt":
         return FunctionField(RationalField())
-    if kind == "Fpt":
-        return FunctionField(PrimeField(int(spec["p"])))
-    raise ParseError(f"unknown field kind {kind!r}")
+    if kind not in ("Fp", "Fpt"):
+        raise ParseError(f"unknown field kind {kind!r}")
+    try:
+        p = int(spec["p"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad modulus for field kind {kind!r}: {exc}") from exc
+    return PrimeField(p) if kind == "Fp" else FunctionField(PrimeField(p))

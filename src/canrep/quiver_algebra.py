@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .errors import AlgebraError
+from .errors import AlgebraError, ParseError
 from .exactla import Matrix, RationalField, field_from_spec
 
 _QQ = RationalField()
@@ -187,12 +188,17 @@ class QuiverAlgebra:
             self._cartan = Matrix(_QQ, n, n, data)
         return self._cartan
 
-    def _cartan_inverse(self) -> Matrix:
+    def _cartan_inverse_rows(self) -> tuple:
+        """Rows of the inverse Cartan matrix as ints, computed once.
+
+        The quiver is acyclic, so the Cartan matrix is unitriangular in a
+        topological order of the vertices and its inverse is integral.
+        """
         if self._cartan_inv is None:
             inv = self.cartan_matrix().inverse()
             if inv is None:
                 raise AlgebraError("Cartan matrix is not invertible")
-            self._cartan_inv = inv
+            self._cartan_inv = tuple(tuple(int(x) for x in row) for row in inv.data)
         return self._cartan_inv
 
     def dim_list(self, dims: dict) -> list:
@@ -200,13 +206,9 @@ class QuiverAlgebra:
 
     def euler_form(self, d: dict, e: dict) -> int:
         """<d, e> = sum (-1)^i dim Ext^i for modules with these dim vectors."""
-        ci = self._cartan_inverse()
-        drow = Matrix(_QQ, 1, len(self.vertices), [list(map(Fraction, self.dim_list(d)))])
-        ecol = Matrix.column(_QQ, list(map(Fraction, self.dim_list(e))))
-        val = (drow * ci * ecol).data[0][0]
-        if val.denominator != 1:
-            raise AlgebraError("Euler form returned a non-integer")
-        return int(val)
+        el = self.dim_list(e)
+        return sum(x * sum(map(mul, row, el))
+                   for x, row in zip(self.dim_list(d), self._cartan_inverse_rows()) if x)
 
     def symmetrized_euler_kernel(self):
         """Primitive integer kernel vectors of the symmetrized Euler matrix."""
@@ -395,6 +397,13 @@ def canonical_algebra(field, weights, params) -> CanonicalAlgebra:
 
 
 def algebra_from_spec(spec: dict) -> CanonicalAlgebra:
+    """The canonical algebra of a spec; a malformed spec is a ParseError."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("field"), dict):
+        raise ParseError("an algebra spec is a JSON object with a \"field\" object")
     field = field_from_spec(spec["field"])
-    params = [field.parse(s) for s in spec.get("params", [])]
-    return CanonicalAlgebra(field, spec.get("weights", []), params)
+    weights, params = spec.get("weights", []), spec.get("params", [])
+    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+        raise ParseError(f"weights must be a list of integers, got {weights!r}")
+    if not isinstance(params, list) or not all(isinstance(x, str) for x in params):
+        raise ParseError(f"params must be a list of strings, got {params!r}")
+    return CanonicalAlgebra(field, weights, [field.parse(x) for x in params])

@@ -1,19 +1,34 @@
 """Indecomposable decomposition, isomorphism testing, and brick detection.
 
-The splitter (``_split_leaves``) computes a basis of End(m) and tries its
-elements in a fixed order: the basis itself, then seeded random combinations.
-For each candidate it takes the minimal polynomial (``exactla``'s one
-incremental routine, on the vertex maps together) and factors it.  If the
-polynomial has two or more distinct monic factors, m splits into the kernels
-of their powers, and the splitter recurses into each piece.  Factorizations
-are kept in a dict for one top-level ``indecomposable_summands`` call, since
-the same few polynomials recur across trials and pieces; sympy is asked once
-per distinct polynomial in that call.
+The splitter (``_split_leaves``) computes a basis of End(m).  Over F_p, when
+the basis commutes, it first counts the blocks of End(m) exactly: x -> x^p - x
+is F_p-linear on a commutative F_p-algebra and its kernel is spanned by the
+primitive idempotents (Berlekamp's count, ``_frobenius_blocks``).  One block
+means m is indecomposable, and the splitter stops there without a minimal
+polynomial or sympy.
 
-A module is reported local when dim End = 1, or when no candidate split it
-and, over F_2 or F_3 with dim End <= 6, an exhaustive search found no
-nontrivial idempotent.  Outside that small case the verdict rests on the
-random trials (probabilistic, not a proof).
+Otherwise it tries the elements of End(m) in a fixed order: the basis itself,
+then seeded random combinations.  For each candidate it takes the minimal
+polynomial (``exactla``'s one incremental routine, on the vertex maps
+together) and factors it.  If the polynomial has two or more distinct monic
+factors, m splits into the kernels of their powers, and the splitter recurses
+into each piece.  Factorizations are kept in a dict for one top-level
+``indecomposable_summands`` call, since the same few polynomials recur across
+trials and pieces; sympy is asked once per distinct polynomial in that call.
+
+Which "local" verdicts are exact:
+
+- dim End = 1;
+- commutative End over F_p (the block count, whichever way m then splits);
+- non-commutative End over F_2 or F_3 with dim End <= 6, where an exhaustive
+  search finds no nontrivial idempotent.
+
+Over Q and k(t), and for larger non-commutative End over F_p, the verdict
+rests on the random trials (probabilistic, not a proof).  ``is_brick`` is
+exact over F_p and samples probes over Q and k(t).
+
+A certified verdict makes the random draws the trials would have made, so
+later draws, and seeded output, do not depend on which way a verdict came.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from fractions import Fraction
 from ..errors import DecompositionError
 from ..exactla import (
     FunctionField,
+    Matrix,
     PrimeField,
     RationalField,
     minimal_polynomial,
@@ -263,6 +279,36 @@ def _idempotent_fallback(m, basis):
     return None
 
 
+def _power(phi: Morphism, n: int) -> Morphism:
+    return Morphism(phi.source, phi.target, {v: a.power(n) for v, a in phi.maps.items()},
+                    check=False)
+
+
+def _frobenius_blocks(m: Representation, basis):
+    """A basis of {x in End(m) : x^p = x}, or None unless End(m) is commutative
+    over F_p.
+
+    ``basis`` spans End(m).  On a commutative F_p-algebra x -> x^p - x is
+    F_p-linear, and its kernel is spanned by the primitive idempotents, one per
+    block (a local F_p-algebra fixes only F_p).  So the length of the result is
+    the exact number of blocks: 1 iff m is indecomposable.
+    """
+    F = m.field
+    if not isinstance(F, PrimeField):
+        return None
+    if any(a.after(b) != b.after(a) for a, b in itertools.combinations(basis, 2)):
+        return None
+    cols = [(_power(b, F.p) - b).flatten() for b in basis]
+    ker = Matrix._make(F, len(cols[0]), len(cols), zip(*cols)).kernel_basis()
+    return [_combination(basis, ker.col(j)) for j in range(ker.cols)]
+
+
+def _skip_draws(field, rng, count):
+    """Make the ``count`` field.random draws of a trial loop that would have failed."""
+    for _ in range(count):
+        field.random(rng)
+
+
 def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factorizations):
     if m.is_zero():
         return
@@ -270,17 +316,31 @@ def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factor
     if len(basis) == 1:
         leaves.append((m, incl))
         return
+    fixed = _frobenius_blocks(m, basis)
+    if fixed is not None and len(fixed) == 1:
+        # certified local: End(m) is commutative over F_p with one block
+        _skip_draws(m.field, rng, trials * len(basis))
+        leaves.append((m, incl))
+        return
     for phi in _candidates(basis, rng, trials):
         pieces = _primary_split(m, phi, factorizations)
         if pieces:
             break
     else:
-        pieces = _idempotent_fallback(m, basis)
+        if fixed is None:
+            pieces = _idempotent_fallback(m, basis)
+        else:
+            # two or more blocks: a non-scalar fixed x has a minimal polynomial
+            # dividing x^p - x, so distinct linear factors, and it splits m
+            pieces = next(filter(None, (_primary_split(m, f, factorizations)
+                                        for f in fixed)), None)
     if pieces:
         for piece, piece_incl in pieces:
             _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves, factorizations)
         return
-    # reported local: no candidate (and no exhaustive idempotent search) split m
+    # reported local: exact for non-commutative End over F_2 or F_3 with
+    # dim End <= 6 (the exhaustive search above); over Q, k(t) and for larger
+    # non-commutative End over F_p it rests on the trials
     leaves.append((m, incl))
 
 
@@ -385,9 +445,12 @@ def end_algebra_structure(m: Representation):
 def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     """True iff End(m) is a division algebra.
 
-    dim End = 1 is immediate; otherwise every basis element and a batch of
-    seeded probes must have an irreducible minimal polynomial (no nilpotents,
-    no idempotents).
+    dim End = 1 is immediate.  Over F_p the answer is exact: a non-commutative
+    End is no division algebra (Wedderburn), and a commutative one is a field
+    iff it has one block and no nilpotents, i.e. x -> x^p is injective.  Over Q
+    and k(t) every basis element and a batch of seeded probes must have an
+    irreducible minimal polynomial (no nilpotents, no idempotents).  Either
+    way rng advances by the probes' draws.
     """
     if m.is_zero():
         return False
@@ -395,6 +458,14 @@ def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     basis = hom_basis(m, m)
     if len(basis) == 1:
         return True
+    F = m.field
+    if isinstance(F, PrimeField):
+        _skip_draws(F, rng, probes * len(basis))
+        fixed = _frobenius_blocks(m, basis)
+        if fixed is None or len(fixed) != 1:
+            return False
+        rows = [_power(b, F.p).flatten() for b in basis]
+        return Matrix._make(F, len(rows), len(rows[0]), rows).rank() == len(basis)
     # all probes are drawn before any is tested, so rng advances by a fixed amount
     for phi in list(_candidates(basis, rng, probes)):
         minpoly = endo_minimal_polynomial(phi)

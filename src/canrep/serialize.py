@@ -23,7 +23,8 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(field, rows: int, cols: int, data) -> Matrix:
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in data)):
         raise ParseError("matrix data has the wrong shape")
     return Matrix(field, rows, cols,
                   [[field.parse(str(x)) for x in row] for row in data])
@@ -54,8 +55,11 @@ def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Repres
         dims = {str(v): int(d) for v, d in data.get("dims", {}).items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dims: {exc}") from exc
+    arrow_data = data.get("arrows", {})
+    if not isinstance(arrow_data, dict):
+        raise ParseError("arrows must be an object mapping labels to matrices")
     arrows = {}
-    for label, rows in data.get("arrows", {}).items():
+    for label, rows in arrow_data.items():
         arrow = algebra.arrow_by_label.get(label)
         if arrow is None:
             raise ParseError(f"unknown arrow {label!r}")

@@ -163,15 +163,24 @@ def test_chain_command(tmp_path, capsys):
     assert len(data["modules"]) == 2
 
 
-BAD_DIMS = ('{"algebra": {"field": {"kind": "Fp", "p": 5}, "weights": [], "params": []},'
-            ' "dims": {"0": "x"}, "arrows": {}}')
+KRON_F5 = '{"field": {"kind": "Fp", "p": 5}, "weights": [], "params": []}'
+
+
+def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
+    return f'{{"algebra": {algebra}, "dims": {dims}, "arrows": {arrows}}}'
 
 
 @pytest.mark.parametrize("text, where", [
-    ("[1, 2]", "rep"),       # top level is not an object
-    ("7", "algebra"),        # an algebra file holding a number
-    (BAD_DIMS, "rep"),       # a dimension that is not an integer
-], ids=["rep-array", "algebra-number", "bad-dims"])
+    ("[1, 2]", "rep"),                                  # top level is not an object
+    ("7", "algebra"),                                   # an algebra file holding a number
+    (_rep_text(dims='{"0": "x"}'), "rep"),              # a dimension that is not an integer
+    (_rep_text(algebra="7"), "rep"),                    # an inline algebra that is a number
+    (_rep_text(arrows="[1]"), "rep"),                   # arrows that are not an object
+    (_rep_text(algebra='{"field": {"kind": "Fp", "p": "x"}}'), "rep"),  # modulus not a number
+    (_rep_text(arrows='{"x1": 5}'), "rep"),             # a matrix that is not a list of rows
+    (_rep_text(algebra='{"field": {"kind": "Fp", "p": 5}, "weights": ["x"]}'), "rep"),
+], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
+        "arrows-array", "modulus-string", "matrix-number", "weight-string"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)
