@@ -17,6 +17,7 @@ from .exactla import FunctionField, Matrix, PrimeField, RationalField
 from .homology import (
     ExtSpace,
     ShortExactSequence,
+    kills_classes,
     lift_through_surjection,
     realize_from_cocycle,
     universal_extension,
@@ -33,7 +34,9 @@ from .repcat import (
     hom_basis,
     hom_dim,
     kernel,
+    linear_combination,
     minimal_projective_presentation,
+    span_coordinates,
     zero_representation,
 )
 from .trisection import (
@@ -42,6 +45,7 @@ from .trisection import (
     regular_simples,
     split_trisect,
     torsion_part,
+    tower_over,
     uniserial_tower,
     validate_tube,
 )
@@ -86,17 +90,7 @@ class PruferTruncation:
 
 def prufer_chain(s: Representation, depth: int, rng=None) -> PruferTruncation:
     """S[1] -> S[2] -> ... -> S[depth] with verified layer quotients."""
-    from .trisection import tube_of, regular_simples as _rs
-
-    rng = rng if rng is not None else random.Random(0)
-    tube = tube_of(s, rng)
-    alg = s.algebra
-    orbit = _rs(alg, tube, rng)
-    from .repcat import is_isomorphic
-
-    socle_idx = next(i for i, cand in enumerate(orbit)
-                     if is_isomorphic(cand, s, rng) is not None)
-    tower = uniserial_tower(alg, tube, socle_idx, depth, rng)
+    tower = tower_over(s, depth, rng if rng is not None else random.Random(0))
     return PruferTruncation(tower.layers[0], depth, tower.layers,
                             tower.inclusions, tower.tops)
 
@@ -184,20 +178,14 @@ def left_omega_approx(m: Representation, params: TruncationParams,
                    for g in hom_basis(space_small.pres.p0.rep, kept)]
     cols = [h.after(omega_u).flatten() for h in hom_big]
     cols += [g.flatten() for g in corrections]
-    F = alg.field
     if not cols:
         raise ApproximationError("empty cocycle space at this truncation")
-    system = Matrix(F, len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
-    rhs = Matrix.column(F, theta_small.flatten())
-    sol = system.solve(rhs)
-    if sol is None:
+    coeffs = span_coordinates(alg.field, cols, theta_small.flatten())
+    if coeffs is None:
         raise ApproximationError("no compatible class at this depth",
                                  {"depth": params.depth})
-    theta_big = Morphism.zero(pres_big.omega, kept)
-    for i, h in enumerate(hom_big):
-        c = sol.data[i][0]
-        if c != F.zero:
-            theta_big = theta_big + h.scale(c)
+    # the coefficients past hom_big belong to the corrections and are dropped
+    theta_big = linear_combination(pres_big.omega, kept, hom_big, coeffs)
     seq = realize_from_cocycle(pres_big, kept, theta_big)
     certs = _left_certificates(seq, mouths)
     if not certs["ext_killed"]:
@@ -211,13 +199,8 @@ def _left_certificates(seq: ShortExactSequence, mouths):
     certs = {"ext_killed": True, "source_torsionfree": True,
              "middle_torsionfree": True}
     for _, _, s in mouths:
-        space = ExtSpace(s, seq.sub)
-        if space.dim:
-            target = ExtSpace(s, seq.middle, space.pres)
-            for cls in space.basis():
-                pushed = seq.inclusion.after(cls.cocycle)
-                if not target.class_of_cocycle(pushed).is_zero():
-                    certs["ext_killed"] = False
+        if not kills_classes(ExtSpace(s, seq.sub), seq.inclusion):
+            certs["ext_killed"] = False
         if hom_dim(s, seq.sub):
             certs["source_torsionfree"] = False
         if hom_dim(s, seq.middle):
@@ -254,22 +237,16 @@ def extend_left_approx(approx: LeftApproximation, new_depth: int, rng=None):
                  u.maps, check=False)
     # solve for h: X_r -> X_{r'} with h o mu = mu' and pi' o h = u o pi
     hb = hom_basis(approx.middle, deeper.middle)
-    F = alg.field
     cols = [(h.after(approx.sequence.inclusion).flatten()
              + deeper.sequence.projection.after(h).flatten()) for h in hb]
     rhs_vec = (deeper.sequence.inclusion.flatten()
                + u.after(approx.sequence.projection).flatten())
     if not cols:
         raise ApproximationError("no maps between truncation levels")
-    system = Matrix(F, len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
-    sol = system.solve(Matrix.column(F, rhs_vec))
-    if sol is None:
+    coeffs = span_coordinates(alg.field, cols, rhs_vec)
+    if coeffs is None:
         raise ApproximationError("no compatible monomorphism between depths")
-    h = Morphism.zero(approx.middle, deeper.middle)
-    for i, b in enumerate(hb):
-        c = sol.data[i][0]
-        if c != F.zero:
-            h = h + b.scale(c)
+    h = linear_combination(approx.middle, deeper.middle, hb, coeffs)
     if not h.is_injective():
         raise ApproximationError("compatible map is not injective")
     return deeper, h
@@ -313,7 +290,8 @@ def right_omega_approx(m: Representation, params: TruncationParams,
             for bi, f in enumerate(hom_basis(tower.top_module, m)):
                 candidates.append((tube, idx, bi, tower.top_module, f))
 
-    def surjective(subset):
+    def uncovered(subset):
+        """The vertices of m, in order, where the maps in subset are not jointly onto."""
         for v in alg.vertices:
             if m.dims[v] == 0:
                 continue
@@ -321,18 +299,17 @@ def right_omega_approx(m: Representation, params: TruncationParams,
             for _, _, _, _, f in subset:
                 stacked = f.maps[v] if stacked is None else stacked.hstack(f.maps[v])
             if stacked is None or stacked.rank() < m.dims[v]:
-                return False
-        return True
+                yield v
 
-    if not surjective(candidates):
-        missing = _missing_tops(m, candidates, rng)
+    missing = list(uncovered(candidates))
+    if missing:
         raise ApproximationError(
             "tube set too poor to cover the module; enlarge tubes or depth",
             {"missing_simple_tops": missing})
     kept = list(candidates)
     for cand in list(candidates):
         trial = [c for c in kept if c is not cand]
-        if surjective(trial):
+        if next(uncovered(trial), None) is None:
             kept = trial
     ds = direct_sum([c[3] for c in kept], alg)
     g = Morphism.zero(ds.rep, m)
@@ -369,38 +346,15 @@ def right_omega_approx(m: Representation, params: TruncationParams,
                               len(candidates) - len(kept), certs)
 
 
-def _missing_tops(m, candidates, rng):
-    alg = m.algebra
-    stacked = {v: None for v in alg.vertices}
-    for _, _, _, _, f in candidates:
-        for v in alg.vertices:
-            mat = f.maps[v]
-            stacked[v] = mat if stacked[v] is None else stacked[v].hstack(mat)
-    missing = []
-    for v in alg.vertices:
-        have = stacked[v].rank() if stacked[v] is not None else 0
-        if have < m.dims[v]:
-            missing.append(v)
-    return missing
-
-
 def factor_through_left_approx(h: Morphism, approx: LeftApproximation):
     """g with g o inclusion = h, when the connecting obstruction vanishes."""
     hb = hom_basis(approx.middle, h.target)
-    F = h.source.field
-    if not hb:
+    coeffs = span_coordinates(h.source.field,
+                              [b.after(approx.sequence.inclusion).flatten() for b in hb],
+                              h.flatten())
+    if coeffs is None:
         return None
-    cols = [b.after(approx.sequence.inclusion).flatten() for b in hb]
-    system = Matrix(F, len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
-    sol = system.solve(Matrix.column(F, h.flatten()))
-    if sol is None:
-        return None
-    g = Morphism.zero(approx.middle, h.target)
-    for i, b in enumerate(hb):
-        c = sol.data[i][0]
-        if c != F.zero:
-            g = g + b.scale(c)
-    return g
+    return linear_combination(approx.middle, h.target, hb, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +404,7 @@ def peg_hom_growth(peg: Representation, s: Representation, rmax: int,
     alg = peg.algebra
     if alg.defect_form()(peg.dims) != -1:
         raise ApproximationError("peg must have defect -1")
-    from .trisection import tube_of
-    from .repcat import is_isomorphic
-
-    tube = tube_of(s, rng)
-    orbit = regular_simples(alg, tube, rng)
-    socle = next(i for i, cand in enumerate(orbit)
-                 if is_isomorphic(cand, s, rng) is not None)
-    tower = uniserial_tower(alg, tube, socle, rmax, rng)
+    tower = tower_over(s, rmax, rng)
     dims, witnesses = [], []
     for layer in tower.layers:
         dims.append(hom_dim(peg, layer))

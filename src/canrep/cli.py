@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=None,
                        required=name in SEED_REQUIRED)
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         return p
@@ -325,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("peg-growth", **alg_req,
         **{"--tube": {"required": True}, "--socle": {"type": int, "default": 0},
            "--rmax": {"type": int, "required": True}, "--peg": {"default": None}})
-    add("slope", **alg_req, **rep)
+    add("slope", **alg_req, **rep,
+        **{"--format": {"choices": ("json", "tsv"), "default": "json"}})
     add("slope-check", **alg_req,
         **{"--source": {"required": True}, "--target": {"required": True}})
     add("chain", **alg_req, **{"--ratios": {"required": True},

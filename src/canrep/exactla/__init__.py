@@ -8,9 +8,7 @@ from .fields import (
     field_from_spec,
     poly_add,
     poly_divmod,
-    poly_eval,
     poly_gcd_monic,
-    poly_is_monic,
     poly_mul,
     poly_neg,
     poly_parse,
@@ -31,9 +29,7 @@ __all__ = [
     "minimal_polynomial",
     "poly_add",
     "poly_divmod",
-    "poly_eval",
     "poly_gcd_monic",
-    "poly_is_monic",
     "poly_mul",
     "poly_neg",
     "poly_parse",

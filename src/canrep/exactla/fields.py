@@ -96,17 +96,6 @@ def poly_gcd_monic(F, a, b):
     return poly_scale(F, a, F.inv(a[-1]))
 
 
-def poly_eval(F, a, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def poly_is_monic(F, a):
-    return bool(a) and a[-1] == F.one
-
-
 def poly_to_str(F, coeffs) -> str:
     coeffs = poly_trim(F, coeffs)
     if not coeffs:
@@ -228,12 +217,6 @@ class RationalField:
     def random(self, rng):
         return Fraction(rng.randint(-20, 20), rng.randint(1, 7))
 
-    def random_nonzero(self, rng):
-        while True:
-            x = self.random(rng)
-            if x != 0:
-                return x
-
     def parse(self, s: str):
         return self.parse_base(s)
 
@@ -304,14 +287,8 @@ class PrimeField:
     def from_int(self, n: int):
         return n % self.p
 
-    def elements(self):
-        return range(self.p)
-
     def random(self, rng):
         return rng.randrange(self.p)
-
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
 
     def parse(self, s: str):
         return self.parse_base(s)
@@ -417,12 +394,6 @@ class FunctionField:
         B = self.base
         num = tuple(B.random(rng) for _ in range(rng.randint(1, 2)))
         return self.make(num)
-
-    def random_nonzero(self, rng):
-        while True:
-            x = self.random(rng)
-            if x.num:
-                return x
 
     def parse_base(self, s: str):
         return self.base.parse_base(s)

@@ -25,9 +25,11 @@ from .repcat import (
     hom_basis,
     is_isomorphic,
     kernel,
+    linear_combination,
     minimal_projective_presentation,
     morphism_from_projective_sum,
     projective_sum,
+    span_coordinates,
     zero_representation,
 )
 
@@ -98,13 +100,14 @@ class ExtSpace:
         basis_cols = [f.flatten() for f in self._hom_omega]
         all_cols = img_cols + basis_cols
         if flat_len and all_cols:
-            stack = Matrix(F, flat_len, len(all_cols), [list(r) for r in zip(*all_cols)])
-            _, pivots = stack.rref()
+            _, pivots = Matrix(F, flat_len, len(all_cols),
+                               [list(r) for r in zip(*all_cols)]).rref()
         else:
-            stack, pivots = None, ()
-        self._img_cols = img_cols
+            pivots = ()
+        self._n_img = len(img_cols)
         self._rep_indices = [p - len(img_cols) for p in pivots if p >= len(img_cols)]
-        self._solver = None
+        # a cocycle's coordinates over the image columns, then the chosen basis
+        self._coord_cols = img_cols + [basis_cols[i] for i in self._rep_indices]
 
     @property
     def dim(self) -> int:
@@ -118,30 +121,12 @@ class ExtSpace:
             out.append(ExtClass(self, self._hom_omega[idx], coords))
         return out
 
-    def _coord_solver(self):
-        if self._solver is None:
-            F = self.field
-            rep_cols = [self._hom_omega[i].flatten() for i in self._rep_indices]
-            cols = self._img_cols + rep_cols
-            if cols:
-                self._solver = Matrix(F, len(cols[0]), len(cols),
-                                      [list(r) for r in zip(*cols)])
-            else:
-                self._solver = Matrix.zeros(F, 0, 0)
-        return self._solver
-
     def class_coords(self, cocycle: Morphism) -> tuple:
         """Coordinates of a cocycle's class over the chosen quotient basis."""
-        F = self.field
-        if self.dim == 0 and not self._img_cols:
-            return ()
-        flat = cocycle.flatten()
-        solver = self._coord_solver()
-        sol = solver.solve(Matrix.column(F, flat))
-        if sol is None:
+        coords = span_coordinates(self.field, self._coord_cols, cocycle.flatten())
+        if coords is None:
             raise AlgebraError("cocycle outside Hom(Omega, M) span (internal error)")
-        n_img = len(self._img_cols)
-        return tuple(sol.data[n_img + i][0] for i in range(self.dim))
+        return tuple(coords[self._n_img:])
 
     def class_of_cocycle(self, cocycle: Morphism) -> ExtClass:
         return ExtClass(self, cocycle, self.class_coords(cocycle))
@@ -150,14 +135,6 @@ class ExtSpace:
         F = self.field
         return ExtClass(self, Morphism.zero(self.pres.omega, self.target),
                         tuple(F.zero for _ in range(self.dim)))
-
-    def combination(self, coeffs) -> ExtClass:
-        F = self.field
-        cocycle = Morphism.zero(self.pres.omega, self.target)
-        for c, cls in zip(coeffs, self.basis()):
-            if c != F.zero:
-                cocycle = cocycle + cls.cocycle.scale(c)
-        return ExtClass(self, cocycle, tuple(coeffs))
 
     # -- realization ---------------------------------------------------------
 
@@ -199,22 +176,12 @@ def lift_through_surjection(source_proj: Representation, p: Morphism,
                             f: Morphism) -> Morphism:
     """lambda with p o lambda = f, source_proj projective, p surjective."""
     hom = hom_basis(source_proj, p.source)
-    F = source_proj.field
-    if not hom:
-        if f.is_zero():
-            return Morphism.zero(source_proj, p.source)
-        raise AlgebraError("no lift exists (source not projective?)")
-    cols = [p.after(h).flatten() for h in hom]
-    mat = Matrix(F, len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
-    sol = mat.solve(Matrix.column(F, f.flatten()))
-    if sol is None:
-        raise AlgebraError("projective lifting failed (internal error)")
-    lam = Morphism.zero(source_proj, p.source)
-    for i, h in enumerate(hom):
-        c = sol.data[i][0]
-        if c != F.zero:
-            lam = lam + h.scale(c)
-    return lam
+    coeffs = span_coordinates(source_proj.field, [p.after(h).flatten() for h in hom],
+                              f.flatten())
+    if coeffs is None:
+        raise AlgebraError("projective lifting failed (internal error)" if hom
+                           else "no lift exists (source not projective?)")
+    return linear_combination(source_proj, p.source, hom, coeffs)
 
 
 def realize_from_cocycle(pres: Presentation, m: Representation,
@@ -392,14 +359,19 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
         cocycle = cocycle + Morphism(total_pres.omega, m, comp.maps, check=False)
     seq = realize_from_cocycle(total_pres, m, cocycle)
 
-    # contract: pushing any Ext^1(S, m) basis cocycle into X gives zero
-    for s, space, _ in chosen:
-        target_space = ExtSpace(s, seq.middle, space.pres)
-        for cls in space.basis():
-            pushed = seq.inclusion.after(cls.cocycle)
-            if not target_space.class_of_cocycle(pushed).is_zero():
-                raise AlgebraError("universal extension failed to kill a class")
+    if not all(kills_classes(space, seq.inclusion) for _, space, _ in chosen):
+        raise AlgebraError("universal extension failed to kill a class")
     return UniversalExtension(seq, used, mults)
+
+
+def kills_classes(space: ExtSpace, inclusion: Morphism) -> bool:
+    """Whether inclusion: M -> X sends every class of Ext^1(N, M) to zero in
+    Ext^1(N, X), checked on the basis cocycles of ``space`` = Ext^1(N, M)."""
+    if not space.dim:
+        return True
+    target = ExtSpace(space.source, inclusion.target, space.pres)
+    return all(target.class_of_cocycle(inclusion.after(cls.cocycle)).is_zero()
+               for cls in space.basis())
 
 
 # ---------------------------------------------------------------------------

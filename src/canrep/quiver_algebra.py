@@ -369,26 +369,16 @@ class CanonicalAlgebra(QuiverAlgebra):
 class DefectForm:
     """Defect as a linear form on dimension vectors.
 
-    The value is [M:S'] - [M:S] (simple injective minus simple projective
-    multiplicities); the 2[M:S']-[M:S] and [M:S']-2[M:S] branches apply only
-    to non-split tame bimodule bases, where dim S' != dim S.  With the split
-    base built here both simples are 1-dimensional, so the first branch is
-    the one in force.
+    The value is [M:S'] - [M:S], the simple injective minus the simple
+    projective multiplicity.  Both simples are 1-dimensional over the split
+    base built here, so it is dims["0"] - dims["c"].
     """
 
     def __init__(self, algebra: CanonicalAlgebra):
         self.algebra = algebra
-        dim_s_inj = 1   # dim_k S(0)
-        dim_s_proj = 1  # dim_k S(c)
-        if dim_s_inj == dim_s_proj:
-            self.coeff_source, self.coeff_sink = 1, -1
-        elif dim_s_inj > dim_s_proj:
-            self.coeff_source, self.coeff_sink = 2, -1
-        else:
-            self.coeff_source, self.coeff_sink = 1, -2
 
     def __call__(self, dims: dict) -> int:
-        return self.coeff_source * dims.get(SOURCE, 0) + self.coeff_sink * dims.get(SINK, 0)
+        return dims.get(SOURCE, 0) - dims.get(SINK, 0)
 
 
 def canonical_algebra(field, weights, params) -> CanonicalAlgebra:

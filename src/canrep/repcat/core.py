@@ -3,6 +3,12 @@
 Hom spaces, kernels/cokernels/images, direct sums, simples, projectives,
 injectives, radicals and minimal projective presentations.  Everything is
 exact; every constructed value re-verifies its defining constraints.
+
+Two pieces of Hom-space glue live here and nowhere else.  Finding a morphism
+in a span is ``span_coordinates`` (flattened morphisms as columns, one solve)
+followed by ``linear_combination`` (rebuild the sum from the coefficients).
+Certifying a decomposition is ``sum_onto``: the direct sum of the pieces, the
+map that is each piece's morphism on its summand, and that map's inverse.
 """
 
 from __future__ import annotations
@@ -239,18 +245,31 @@ def hom_dim(m, n) -> int:
     return len(hom_basis(m, n))
 
 
+def span_coordinates(field, cols, target):
+    """Coefficients c with sum_i c[i] * cols[i] == target, or None if target is
+    outside the span; cols and target are flat vectors of one length."""
+    if not cols:
+        return [] if all(x == field.zero for x in target) else None
+    n = len(target)
+    system = Matrix._make(field, n, len(cols), zip(*cols))
+    sol = system.solve(Matrix._make(field, n, 1, [(x,) for x in target]))
+    return None if sol is None else list(sol.col(0))
+
+
+def linear_combination(source, target, basis, coeffs) -> Morphism:
+    """sum_i coeffs[i] * basis[i] as a morphism source -> target (zero when empty);
+    extra coefficients past the end of basis are ignored."""
+    zero = source.field.zero
+    f = Morphism.zero(source, target)
+    for c, b in zip(coeffs, basis):
+        if c != zero:
+            f = f + b.scale(c)
+    return f
+
+
 def coordinates_in_hom_basis(f: Morphism, basis: list[Morphism]):
     """Coefficients of f over a hom-space basis, or None if outside the span."""
-    F = f.source.field
-    if not basis:
-        return [] if f.is_zero() else None
-    cols = [b.flatten() for b in basis]
-    mat = Matrix(F, len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
-    rhs = Matrix.column(F, f.flatten())
-    sol = mat.solve(rhs)
-    if sol is None:
-        return None
-    return [sol.data[i][0] for i in range(sol.rows)]
+    return span_coordinates(f.source.field, [b.flatten() for b in basis], f.flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +315,19 @@ def direct_sum(parts: list[Representation], algebra=None) -> DirectSum:
         injections.append(Morphism(p, total, inj, check=False))
         projections.append(Morphism(total, p, proj, check=False))
     return DirectSum(total, injections, projections)
+
+
+def sum_onto(m: Representation, parts: list[Morphism]):
+    """(sum, iso, inverse) for morphisms parts[i]: X_i -> m.
+
+    sum is X_1 (+) ... (+) X_n, iso: sum -> m is parts[i] on the i-th summand,
+    and inverse is its inverse, or None when iso is not invertible.
+    """
+    ds = direct_sum([f.source for f in parts], m.algebra)
+    iso = Morphism.zero(ds.rep, m)
+    for f, proj in zip(parts, ds.projections):
+        iso = iso + f.after(proj)
+    return ds.rep, iso, iso.inverse()
 
 
 # ---------------------------------------------------------------------------

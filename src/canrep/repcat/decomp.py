@@ -54,10 +54,11 @@ from .core import (
     Morphism,
     Representation,
     coordinates_in_hom_basis,
-    direct_sum,
     hom_basis,
     image,
     kernel,
+    linear_combination,
+    sum_onto,
 )
 
 _DEFAULT_TRIALS = 64
@@ -221,22 +222,12 @@ def _primary_split(m: Representation, phi: Morphism, factorizations):
     return pieces
 
 
-def _combination(basis, coeffs) -> Morphism:
-    """sum_i coeffs[i] * basis[i]; basis is nonempty."""
-    zero = basis[0].source.field.zero
-    f = Morphism.zero(basis[0].source, basis[0].target)
-    for c, b in zip(coeffs, basis):
-        if c != zero:
-            f = f + b.scale(c)
-    return f
-
-
 def _candidates(basis, rng, trials):
     """The basis, then up to ``trials`` nonzero seeded random combinations of it."""
-    F = basis[0].source.field
+    src, tgt = basis[0].source, basis[0].target
     yield from basis
     for _ in range(trials):
-        f = _combination(basis, [F.random(rng) for _ in basis])
+        f = linear_combination(src, tgt, basis, [src.field.random(rng) for _ in basis])
         if not f.is_zero():
             yield f
 
@@ -254,9 +245,10 @@ def _search(basis, rng, accept, grid_bound):
         if accept(f):
             return f
     if len(basis) <= 3:
-        values = _grid_values(basis[0].source.field, grid_bound)
+        src, tgt = basis[0].source, basis[0].target
+        values = _grid_values(src.field, grid_bound)
         for coeffs in itertools.product(values, repeat=len(basis)):
-            f = _combination(basis, coeffs)
+            f = linear_combination(src, tgt, basis, coeffs)
             if accept(f):
                 return f
     return None
@@ -269,7 +261,7 @@ def _idempotent_fallback(m, basis):
         return None
     ident = Morphism.identity(m)
     for coeffs in itertools.product(range(F.p), repeat=len(basis)):
-        f = _combination(basis, coeffs)
+        f = linear_combination(m, m, basis, coeffs)
         if f.is_zero() or f == ident:
             continue
         if f.after(f) == f:
@@ -300,7 +292,7 @@ def _frobenius_blocks(m: Representation, basis):
         return None
     cols = [(_power(b, F.p) - b).flatten() for b in basis]
     ker = Matrix._make(F, len(cols[0]), len(cols), zip(*cols)).kernel_basis()
-    return [_combination(basis, ker.col(j)) for j in range(ker.cols)]
+    return [linear_combination(m, m, basis, ker.col(j)) for j in range(ker.cols)]
 
 
 def _skip_draws(field, rng, count):
@@ -370,18 +362,12 @@ def decompose(m: Representation, rng=None, trials=_DEFAULT_TRIALS) -> Decomposit
     for grp in groups:
         parts.append((grp["rep"], len(grp["members"])))
         columns.extend(grp["members"])
-    ds = direct_sum([grp["rep"] for grp in groups for _ in grp["members"]], m.algebra)
-    iso = Morphism.zero(ds.rep, m)
-    for col, proj in zip(columns, ds.projections):
-        iso = iso + col.after(proj)
-    inv = iso.inverse()
+    sum_rep, iso, inv = sum_onto(m, columns)
     if inv is None:
         raise DecompositionError("decomposition certificate is not invertible")
-    ident_src = Morphism.identity(ds.rep)
-    ident_tgt = Morphism.identity(m)
-    if inv.after(iso) != ident_src or iso.after(inv) != ident_tgt:
+    if inv.after(iso) != Morphism.identity(sum_rep) or iso.after(inv) != Morphism.identity(m):
         raise DecompositionError("decomposition certificate failed verification")
-    return Decomposition(parts, ds.rep, iso, inv)
+    return Decomposition(parts, sum_rep, iso, inv)
 
 
 def is_indecomposable(m: Representation, rng=None) -> bool:

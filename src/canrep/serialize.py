@@ -55,6 +55,9 @@ def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Repres
         dims = {str(v): int(d) for v, d in data.get("dims", {}).items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dims: {exc}") from exc
+    unknown = [v for v in dims if v not in algebra.vertex_index]
+    if unknown:
+        raise ParseError(f"unknown vertex {unknown[0]!r} in dims")
     arrow_data = data.get("arrows", {})
     if not isinstance(arrow_data, dict):
         raise ParseError("arrows must be an object mapping labels to matrices")

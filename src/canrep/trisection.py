@@ -37,6 +37,7 @@ from .repcat import (
     is_irreducible_poly,
     is_isomorphic,
     projective_at,
+    sum_onto,
 )
 
 
@@ -171,28 +172,16 @@ def split_trisect(m: Representation, rng=None) -> Trisection:
     rng = rng if rng is not None else random.Random(0)
     alg = m.algebra
     delta = alg.defect_form()
-    groups = {TrisectLabel.P: [], TrisectLabel.T: [], TrisectLabel.Q: []}
+    order = [TrisectLabel.P, TrisectLabel.T, TrisectLabel.Q]
+    groups = {lab: [] for lab in order}
     for leaf, incl in indecomposable_summands(m, rng):
         groups[label_of_defect(delta(leaf.dims))].append((leaf, incl))
-    sums = {}
-    for lab, members in groups.items():
-        sums[lab] = direct_sum([r for r, _ in members], alg)
-    order = [TrisectLabel.P, TrisectLabel.T, TrisectLabel.Q]
-    total = direct_sum([sums[lab].rep for lab in order], alg)
-    iso = Morphism.zero(total.rep, m)
-    for block, lab in enumerate(order):
-        for (leaf, incl), proj in zip(groups[lab], sums[lab].projections):
-            iso = iso + incl.after(proj).after(total.projections[block])
-    inv = iso.inverse()
+    _, iso, inv = sum_onto(m, [incl for lab in order for _, incl in groups[lab]])
     if inv is None:
         raise TubeError("trisection certificate is not invertible")
-    return Trisection(
-        sums[TrisectLabel.P].rep, sums[TrisectLabel.T].rep, sums[TrisectLabel.Q].rep,
-        iso, inv,
-        [r for r, _ in groups[TrisectLabel.P]],
-        [r for r, _ in groups[TrisectLabel.T]],
-        [r for r, _ in groups[TrisectLabel.Q]],
-    )
+    leaves = {lab: [r for r, _ in members] for lab, members in groups.items()}
+    p, t, q = (direct_sum(leaves[lab], alg).rep for lab in order)
+    return Trisection(p, t, q, iso, inv, *(leaves[lab] for lab in order))
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +424,21 @@ def uniserial_tower(alg: CanonicalAlgebra, tube: TubeId, socle_index: int,
     return UniserialTower(TubePosition(tube, socle_index, rlen), layers, inclusions, tops)
 
 
-def s_bracket(s: Representation, rlen: int, rng=None):
-    """S[r] for a regular simple s; returns (representation, TubePosition)."""
-    rng = rng if rng is not None else random.Random(0)
+def tower_over(s: Representation, rlen: int, rng) -> UniserialTower:
+    """The uniserial tower S[1] c ... c S[rlen] whose socle is the regular simple s."""
     alg = s.algebra
     tube = tube_of(s, rng)
     orbit = regular_simples(alg, tube, rng)
-    socle = next(i for i, cand in enumerate(orbit)
-                 if is_isomorphic(cand, s, rng) is not None)
-    tower = uniserial_tower(alg, tube, socle, rlen, rng)
+    socle = next((i for i, cand in enumerate(orbit)
+                  if is_isomorphic(cand, s, rng) is not None), None)
+    if socle is None:
+        raise TubeError("module is not a regular simple: no mouth of its tube matches it")
+    return uniserial_tower(alg, tube, socle, rlen, rng)
+
+
+def s_bracket(s: Representation, rlen: int, rng=None):
+    """S[r] for a regular simple s; returns (representation, TubePosition)."""
+    tower = tower_over(s, rlen, rng if rng is not None else random.Random(0))
     return tower.top_module, tower.position
 
 
@@ -513,18 +508,11 @@ def partition_by_tubes(m: Representation, tubes, rng=None) -> TubePartition:
             raise TubeError("partition needs a module in add t")
         tube = tube_of(leaf, rng)
         (ins if (tube.kind, tube.arm, tube.poly) in chosen else outs).append((leaf, incl))
-    sum_in = direct_sum([r for r, _ in ins], alg)
-    sum_out = direct_sum([r for r, _ in outs], alg)
-    total = direct_sum([sum_in.rep, sum_out.rep], alg)
-    iso = Morphism.zero(total.rep, m)
-    for block, members in enumerate((ins, outs)):
-        inner = (sum_in, sum_out)[block]
-        for (leaf, incl), proj in zip(members, inner.projections):
-            iso = iso + incl.after(proj).after(total.projections[block])
-    inv = iso.inverse()
+    _, iso, inv = sum_onto(m, [incl for _, incl in ins + outs])
     if inv is None:
         raise TubeError("tube partition certificate is not invertible")
-    return TubePartition(sum_in.rep, sum_out.rep, iso, inv,
+    return TubePartition(direct_sum([r for r, _ in ins], alg).rep,
+                         direct_sum([r for r, _ in outs], alg).rep, iso, inv,
                          [r for r, _ in ins], [r for r, _ in outs])
 
 

@@ -17,6 +17,7 @@ from canrep.errors import ApproximationError
 from canrep.homology import ext1_dim
 from canrep.quiver_algebra import CanonicalAlgebra
 from canrep.repcat import (
+    Morphism,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -123,6 +124,16 @@ def test_factorization_shadow():
         g = factor_through_left_approx(h, ap)
         assert g is not None
         assert g.after(ap.sequence.inclusion) == h
+
+
+def test_zero_map_factors_with_no_maps_out_of_the_middle():
+    alg = kron()
+    pc = projective_at(alg, "c")
+    ap = left_omega_approx(pc, TruncationParams((pt((0, 1)),), 2))
+    assert hom_basis(ap.middle, pc) == []
+    g = factor_through_left_approx(Morphism.zero(pc, pc), ap)
+    assert g is not None and g.is_zero()
+    assert factor_through_left_approx(Morphism.identity(pc), ap) is None
 
 
 def test_right_approx_simple_injective():

@@ -22,6 +22,7 @@ from canrep.repcat import (
     hom_basis,
     indecomposable_summands,
     is_brick,
+    linear_combination,
     projective_at,
 )
 from canrep.serialize import rep_to_json
@@ -76,7 +77,7 @@ def _noncommutative_cases(F):
 def _idempotent_count(m, basis):
     count = 0
     for coeffs in itertools.product(range(m.field.p), repeat=len(basis)):
-        f = decomp._combination(basis, coeffs)
+        f = linear_combination(m, m, basis, coeffs)
         if f.after(f) == f:
             count += 1
     return count

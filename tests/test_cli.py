@@ -151,6 +151,12 @@ def test_slope_commands(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_format_is_a_slope_option_only(files):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--rep", files["pc"], "--format", "tsv"])
+    assert exc.value.code == 2
+
+
 def test_chain_command(tmp_path, capsys):
     alg = canonical_algebra(F5, [2, 2, 2, 2], [2, 3])
     alg_path = tmp_path / "tub.json"
@@ -179,8 +185,9 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     (_rep_text(algebra='{"field": {"kind": "Fp", "p": "x"}}'), "rep"),  # modulus not a number
     (_rep_text(arrows='{"x1": 5}'), "rep"),             # a matrix that is not a list of rows
     (_rep_text(algebra='{"field": {"kind": "Fp", "p": 5}, "weights": ["x"]}'), "rep"),
+    (_rep_text(dims='{"zz": 1, "c": 1}'), "rep"),      # a dimension at a vertex the algebra lacks
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
-        "arrows-array", "modulus-string", "matrix-number", "weight-string"])
+        "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)

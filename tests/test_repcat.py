@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from canrep.exactla import Matrix
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
     cokernel,
+    coordinates_in_hom_basis,
     decompose,
     direct_sum,
     end_algebra_structure,
@@ -20,10 +22,13 @@ from canrep.repcat import (
     is_indecomposable,
     is_isomorphic,
     kernel,
+    linear_combination,
     minimal_projective_presentation,
     projective_at,
     radical,
     simple_at,
+    span_coordinates,
+    sum_onto,
     top,
     zero_representation,
 )
@@ -219,6 +224,50 @@ def test_presentation_of_simple_injective():
     assert pres.p0.summand_vertices == ["0"]
     assert pres.p1.summand_vertices == ["c", "c"]
     assert pres.omega.dims == {"0": 0, "c": 2}
+
+
+# ---------------------------------------------------------------------------
+# span coordinates and block-sum certificates
+# ---------------------------------------------------------------------------
+
+def test_coordinates_of_a_composite_over_an_end_basis():
+    alg = kron(F5)
+    m = kron_jordan(alg, 2, 2)
+    basis = hom_basis(m, m)
+    assert len(basis) == 2
+    f = linear_combination(m, m, basis, [F5.coerce(2), F5.coerce(3)])
+    assert coordinates_in_hom_basis(f, basis) == [2, 3]
+    g = f.after(f)
+    coords = coordinates_in_hom_basis(g, basis)
+    assert coords is not None
+    assert linear_combination(m, m, basis, coords) == g
+
+
+def test_coordinates_of_a_non_morphism_are_none():
+    alg = kron(F5)
+    m = kron_jordan(alg, 2, 2)
+    # identity at vertex 0, zero at c: the squares do not commute
+    bad = Morphism(m, m, {"0": Matrix.identity(F5, 2)}, check=False)
+    assert coordinates_in_hom_basis(bad, hom_basis(m, m)) is None
+
+
+def test_span_coordinates_with_no_columns():
+    assert span_coordinates(F5, [], [0, 0, 0]) == []
+    assert span_coordinates(F5, [], []) == []
+    assert span_coordinates(F5, [], [0, 1, 0]) is None
+    alg = kron(F5)
+    m, n = kron_point(alg, 1), kron_point(alg, 2)
+    assert linear_combination(m, n, [], []).is_zero()
+
+
+def test_sum_onto_injections_is_the_identity():
+    alg = kron(F5)
+    ds = direct_sum([kron_point(alg, 1), simple_at(alg, "0")])
+    total, iso, inv = sum_onto(ds.rep, ds.injections)
+    assert total.dims == ds.rep.dims
+    assert iso == Morphism.identity(ds.rep) and inv == Morphism.identity(ds.rep)
+    # one summand alone does not cover the sum: no inverse
+    assert sum_onto(ds.rep, ds.injections[:1])[2] is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from canrep.approx import prufer_chain
 from canrep.errors import TubeError
 from canrep.homology import ext1_dim
 from canrep.quiver_algebra import canonical_algebra
@@ -150,6 +151,16 @@ def test_s_bracket_jordan_model():
         assert m.dims == {"0": r, "c": r}
         assert pos.rlen == r
         assert is_isomorphic(m, kron_jordan(alg, 0, r)) is not None
+
+
+def test_tower_lookup_rejects_a_regular_non_mouth():
+    # S[2] lies in a tube but is no mouth of it: a TubeError, not a bare StopIteration
+    alg = kron(F5)
+    s2 = kron_jordan(alg, 0, 2)
+    with pytest.raises(TubeError, match="not a regular simple"):
+        s_bracket(s2, 3)
+    with pytest.raises(TubeError, match="not a regular simple"):
+        prufer_chain(s2, 3)
 
 
 def test_s_bracket_arm():
