@@ -16,6 +16,7 @@ from .fields import (
     poly_to_str,
     poly_trim,
 )
+from .fpfactor import poly_factor_fp
 from .matrix import Matrix, companion_matrix, minimal_polynomial
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "minimal_polynomial",
     "poly_add",
     "poly_divmod",
+    "poly_factor_fp",
     "poly_gcd_monic",
     "poly_mul",
     "poly_neg",

@@ -298,19 +298,14 @@ def direct_sum(parts: list[Representation], algebra=None) -> DirectSum:
     total = Representation(alg, dims, arrows, check=False)
     injections, projections = [], []
     offs = {v: 0 for v in alg.vertices}
+    z, one = F.zero, F.one
     for p in parts:
         inj, proj = {}, {}
         for v in alg.vertices:
             o, d, D = offs[v], p.dims[v], dims[v]
-            zi = Matrix.zeros(F, D, d)
-            zp = Matrix.zeros(F, d, D)
-            di = [list(r) for r in zi.data]
-            dp = [list(r) for r in zp.data]
-            for i in range(d):
-                di[o + i][i] = F.one
-                dp[i][o + i] = F.one
-            inj[v] = Matrix(F, D, d, di)
-            proj[v] = Matrix(F, d, D, dp)
+            inj[v] = Matrix._make(F, D, d, [[one if r == o + i else z for i in range(d)]
+                                            for r in range(D)])
+            proj[v] = inj[v].transpose()
             offs[v] = o + d
         injections.append(Morphism(p, total, inj, check=False))
         projections.append(Morphism(total, p, proj, check=False))

@@ -5,16 +5,17 @@ the basis commutes, it first counts the blocks of End(m) exactly: x -> x^p - x
 is F_p-linear on a commutative F_p-algebra and its kernel is spanned by the
 primitive idempotents (Berlekamp's count, ``_frobenius_blocks``).  One block
 means m is indecomposable, and the splitter stops there without a minimal
-polynomial or sympy.
+polynomial or a factorization.
 
 Otherwise it tries the elements of End(m) in a fixed order: the basis itself,
 then seeded random combinations.  For each candidate it takes the minimal
 polynomial (``exactla``'s one incremental routine, on the vertex maps
-together) and factors it.  If the polynomial has two or more distinct monic
-factors, m splits into the kernels of their powers, and the splitter recurses
-into each piece.  Factorizations are kept in a dict for one top-level
-``indecomposable_summands`` call, since the same few polynomials recur across
-trials and pieces; sympy is asked once per distinct polynomial in that call.
+together) and factors it: over F_p with ``exactla``'s Berlekamp factorizer,
+over Q and k(t) through sympy, imported on first use.  If the polynomial has
+two or more distinct monic factors, m splits into the kernels of their
+powers, and the splitter recurses into each piece.  Factorizations are kept
+in a dict for one top-level ``indecomposable_summands`` call, since the same
+few polynomials recur across trials and pieces.
 
 Which "local" verdicts are exact:
 
@@ -46,6 +47,8 @@ from ..exactla import (
     RationalField,
     minimal_polynomial,
     poly_divmod,
+    poly_factor_fp,
+    poly_gcd_monic,
     poly_mul,
     poly_scale,
     poly_trim,
@@ -89,7 +92,7 @@ def factor_poly(field, coeffs):
     if isinstance(field, RationalField):
         return _factor_rational(field, coeffs)
     if isinstance(field, PrimeField):
-        return _factor_prime(field, coeffs)
+        return poly_factor_fp(field, coeffs)
     if isinstance(field, FunctionField):
         return _factor_function_field(field, coeffs)
     raise DecompositionError(f"no factorization backend for {field!r}")
@@ -109,20 +112,6 @@ def _factor_rational(field, coeffs):
     return out
 
 
-def _factor_prime(field, coeffs):
-    sympy = _sympy_mod()
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in reversed(coeffs)], x, modulus=field.p)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [int(c) % field.p for c in fac.all_coeffs()]
-        lead_inv = field.inv(cs[0])
-        monic = tuple(field.mul(c, lead_inv) for c in reversed(cs))
-        out.append((poly_trim(field, monic), int(mult)))
-    return out
-
-
 def _factor_function_field(field, coeffs):
     sympy = _sympy_mod()
     B = field.base
@@ -131,8 +120,6 @@ def _factor_function_field(field, coeffs):
     common = (B.one,)
     for c in coeffs:
         g = poly_trim(B, c.den)
-        from ..exactla import poly_gcd_monic
-
         gc = poly_gcd_monic(B, common, g)
         quo, _ = poly_divmod(B, g, gc)
         common = poly_mul(B, common, quo)

@@ -15,7 +15,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .errors import TubeError
+from .errors import ParseError, TubeError
 from .exactla import (
     Matrix,
     companion_matrix,
@@ -30,6 +30,7 @@ from .repcat import (
     Morphism,
     Representation,
     direct_sum,
+    factor_poly,
     hom_basis,
     hom_dim,
     indecomposable_summands,
@@ -89,7 +90,10 @@ class TubeId:
     def parse(cls, field, text: str) -> "TubeId":
         text = text.strip()
         if text.startswith("arm:"):
-            return cls.for_arm(int(text[4:]))
+            try:
+                return cls.for_arm(int(text[4:]))
+            except ValueError:
+                raise ParseError(f"bad arm label {text!r}") from None
         if text.startswith("pt:"):
             body = text[3:].strip()
             if body in (INFINITY_POINT, "inf", "infty"):
@@ -359,8 +363,6 @@ def tube_of(m: Representation, rng=None) -> TubeId:
         raise TubeError("module is not supported in a single tube")
     op = x1.inverse() * comps[2]
     coeffs = minimal_polynomial((op,))
-    from .repcat import factor_poly
-
     factors = factor_poly(alg.field, coeffs)
     if len(factors) != 1:
         raise TubeError("module spans several homogeneous tubes")

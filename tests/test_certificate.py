@@ -2,7 +2,8 @@
 
 Oracles: an exhaustive count of the idempotents of End(m) (a commutative
 algebra with s blocks has 2^s of them), the random draws the splitter's trial
-loop makes when it fails, and the absence of sympy from a CLI process.
+loop makes when it fails, and the absence of sympy from a CLI process over F_p
+(its presence over Q).
 """
 
 import itertools
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import canrep
+from canrep.exactla import poly_factor_fp
 from canrep.repcat import (
     decomp,
     direct_sum,
@@ -28,7 +30,7 @@ from canrep.repcat import (
 from canrep.serialize import rep_to_json
 from canrep.trisection import TubeId, uniserial_tower
 
-from helpers import F2, F3, F5, conjugate, kron
+from helpers import F2, F3, F5, QQ, conjugate, kron
 
 # monic irreducible quadratics, ascending coefficients
 QUADRATIC = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1)}
@@ -156,20 +158,60 @@ def test_is_brick_is_exact_and_makes_the_probes_draws(probes, monkeypatch):
 
 
 # python -c body: run the CLI, then report on stderr whether sympy was imported
-_CLASSIFY = ("import sys\nfrom canrep.cli import main\ncode = main(sys.argv[1:])\n"
-             "sys.stderr.write('sympy' if 'sympy' in sys.modules else 'no sympy')\n"
-             "sys.exit(code)\n")
+_CLI = ("import sys\nfrom canrep.cli import main\ncode = main(sys.argv[1:])\n"
+        "sys.stderr.write('sympy' if 'sympy' in sys.modules else 'no sympy')\n"
+        "sys.exit(code)\n")
+
+
+def _cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(canrep.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", _CLI, *argv],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 @pytest.mark.parametrize("tube", ["pt:t+3", "pt:t^2+2"])
 def test_cli_classify_of_a_local_module_does_not_import_sympy(tube, tmp_path):
     alg, rng = kron(F5), random.Random(5)
     m = conjugate(_tower(alg, TubeId.parse(F5, tube), 2, rng), rng)
-    rep = tmp_path / "s2.json"
-    rep.write_text(json.dumps(rep_to_json(m)))
-    env = dict(os.environ, PYTHONPATH=str(Path(canrep.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _CLASSIFY, "classify", "--rep", str(rep)],
-                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    proc = _cli("classify", "--rep", _write(tmp_path / "s2.json", rep_to_json(m)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["label"] == "T"
     assert proc.stderr == "no sympy"
+
+
+def test_cli_decompose_over_fp_factors_without_sympy(tmp_path, monkeypatch):
+    """A regular simple (+) P_0 over F_5: End is not commutative, so the trial
+    loop factors minimal polynomials of degree 2."""
+    alg, rng = kron(F5), random.Random(9)
+    mix = direct_sum([_tower(alg, _point(F5, 2), 1, rng), projective_at(alg, "0")]).rep
+    m = conjugate(mix, rng)
+    degrees = []
+
+    def spy(F, coeffs):
+        degrees.append(len(coeffs) - 1)
+        return poly_factor_fp(F, coeffs)
+
+    monkeypatch.setattr(decomp, "poly_factor_fp", spy)
+    decomp.decompose(m, random.Random(7))
+    assert degrees and min(degrees) >= 2
+    proc = _cli("decompose", "--seed", "7", "--rep", _write(tmp_path / "mix.json", rep_to_json(m)))
+    assert proc.returncode == 0, proc.stderr
+    assert sum(s["multiplicity"] for s in json.loads(proc.stdout)["summands"]) == 2
+    assert proc.stderr == "no sympy"
+
+
+@pytest.mark.parametrize("field, tube, imported", [
+    (F5, "pt:t^3+t+1", "no sympy"),   # irreducibility of a cubic over F_5
+    (QQ, "pt:t^2+1", "sympy"),        # over Q the factorization still asks sympy
+], ids=["F5-cubic", "Q-quadratic"])
+def test_cli_tube_simples_imports_sympy_only_over_q(field, tube, imported, tmp_path):
+    proc = _cli("tube-simples", "--algebra", _write(tmp_path / "kron.json", kron(field).spec()),
+                "--tube", tube)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["simples"]) == 1
+    assert proc.stderr == imported

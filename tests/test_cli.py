@@ -186,13 +186,19 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     (_rep_text(arrows='{"x1": 5}'), "rep"),             # a matrix that is not a list of rows
     (_rep_text(algebra='{"field": {"kind": "Fp", "p": 5}, "weights": ["x"]}'), "rep"),
     (_rep_text(dims='{"zz": 1, "c": 1}'), "rep"),      # a dimension at a vertex the algebra lacks
+    ("arm:x", "tube"),                                  # an arm label that is not a number
+    ("arm:", "tube"),                                   # an arm label that is missing
+    ("arm:1.5", "tube"),                                # an arm label that is not an integer
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
-        "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex"])
+        "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
+        "arm-letter", "arm-empty", "arm-fraction"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)
     if where == "rep":
         argv = ["classify", "--rep", str(bad)]
+    elif where == "tube":
+        argv = ["tube-simples", "--algebra", files["alg"], "--tube", text]
     else:
         argv = ["classify", "--rep", files["pc"], "--algebra", str(bad)]
     code, out = run(capsys, argv)
