@@ -58,6 +58,10 @@ class QuiverAlgebra:
         self._cartan = None
         self._cartan_inv = None
         self._opposite = None
+        # Modules that depend on this algebra alone, built once and shared:
+        # projectives, injectives, tube mouths and uniserial towers.  Keys are
+        # tuples led by a kind tag; see repcat.core and trisection.
+        self.module_cache: dict = {}
 
     # -- structural checks ----------------------------------------------------
 

@@ -9,6 +9,10 @@ in a span is ``span_coordinates`` (flattened morphisms as columns, one solve)
 followed by ``linear_combination`` (rebuild the sum from the coefficients).
 Certifying a decomposition is ``sum_onto``: the direct sum of the pieces, the
 map that is each piece's morphism on its summand, and that map's inverse.
+
+``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
+algebra and keep it in ``algebra.module_cache``; every later call returns the
+same object.  Cached modules are shared values: no caller may change them.
 """
 
 from __future__ import annotations
@@ -429,7 +433,18 @@ def simple_at(algebra, v) -> Representation:
 
 
 def projective_at(algebra, w) -> Representation:
-    """P(w): path spaces from w, arrows act by path extension."""
+    """P(w): path spaces from w, arrows act by path extension.
+
+    Built once per algebra and vertex; every call returns the same object.
+    """
+    key = ("projective", w)
+    cached = algebra.module_cache.get(key)
+    if cached is None:
+        cached = algebra.module_cache[key] = _build_projective(algebra, w)
+    return cached
+
+
+def _build_projective(algebra, w) -> Representation:
     if w not in algebra.vertex_index:
         raise AlgebraError(f"no vertex {w}")
     F = algebra.field
@@ -450,9 +465,16 @@ def projective_at(algebra, w) -> Representation:
 
 
 def injective_at(algebra, v) -> Representation:
-    """I(v): dual of the opposite projective at v."""
-    opp = algebra.opposite()
-    return dualize(projective_at(opp, v), algebra)
+    """I(v): dual of the opposite projective at v.
+
+    Built once per algebra and vertex; every call returns the same object.
+    """
+    key = ("injective", v)
+    cached = algebra.module_cache.get(key)
+    if cached is None:
+        cached = algebra.module_cache[key] = dualize(
+            projective_at(algebra.opposite(), v), algebra)
+    return cached
 
 
 def dualize(rep: Representation, into_algebra) -> Representation:

@@ -7,6 +7,12 @@ the arm tubes occupy the points ∞ (arm 1), 0 (arm 2) and l_i (arm i >= 3);
 degree-one homogeneous labels exclude exactly those values, and every tube
 construction is certified by the predicate: defect zero, brick, and a cyclic
 tau-orbit of the full rank.
+
+Each tube's mouth orbit and, per (tube, socle), the longest uniserial tower
+built so far are kept in ``alg.module_cache``, so they are built and
+certified once per algebra; the cache is keyed on tube ids, never on a
+caller's module.  Calls return fresh lists of shared modules, which no caller
+may change.
 """
 
 from __future__ import annotations
@@ -99,17 +105,18 @@ class TubeId:
             if body in (INFINITY_POINT, "inf", "infty"):
                 return cls.for_point(None)
             return cls.for_point(poly_parse(field, body))
-        raise TubeError(f"bad tube id {text!r}")
+        raise ParseError(f"bad tube id {text!r}: expected arm:<i> or pt:<point>")
 
 
 def validate_tube(alg: CanonicalAlgebra, tube: TubeId):
     t = alg.arm_count
+    if t == 1:
+        raise TubeError("a single-arm algebra (weights [p]) is a path algebra of "
+                        "type A_{p+1} and has no tubes")
     if tube.kind == "arm":
         if not 1 <= (tube.arm or 0) <= t:
             raise TubeError(f"no arm {tube.arm} on this algebra")
         return
-    if t == 1:
-        raise TubeError("single-arm algebras carry no supported point tubes")
     if tube.is_infinity:
         if t >= 1:
             raise TubeError("∞ is the arm-1 point on weighted algebras")
@@ -180,12 +187,35 @@ def split_trisect(m: Representation, rng=None) -> Trisection:
     groups = {lab: [] for lab in order}
     for leaf, incl in indecomposable_summands(m, rng):
         groups[label_of_defect(delta(leaf.dims))].append((leaf, incl))
-    _, iso, inv = sum_onto(m, [incl for lab in order for _, incl in groups[lab]])
+    (p, t, q), iso, inv = _grouped_sum_onto(m, [groups[lab] for lab in order],
+                                            "trisection")
+    return Trisection(p, t, q, iso, inv,
+                      *([r for r, _ in groups[lab]] for lab in order))
+
+
+def _grouped_sum_onto(m: Representation, groups, what: str):
+    """(group sums, iso, inverse) for groups of (leaf, inclusion) pairs that split m.
+
+    The sum of all leaves, in group order, is built once by sum_onto; each
+    group's sum is its diagonal block, equal entry for entry to the direct
+    sum of that group's leaves.
+    """
+    total, iso, inv = sum_onto(m, [incl for group in groups for _, incl in group])
     if inv is None:
-        raise TubeError("trisection certificate is not invertible")
-    leaves = {lab: [r for r, _ in members] for lab, members in groups.items()}
-    p, t, q = (direct_sum(leaves[lab], alg).rep for lab in order)
-    return Trisection(p, t, q, iso, inv, *(leaves[lab] for lab in order))
+        raise TubeError(f"{what} certificate is not invertible")
+    alg = m.algebra
+    sums = []
+    start = dict.fromkeys(alg.vertices, 0)
+    for group in groups:
+        stop = {v: start[v] + sum(leaf.dims[v] for leaf, _ in group) for v in alg.vertices}
+        arrows = {a.label: total.arrows[a.label].submatrix(
+                      range(start[a.target], stop[a.target]),
+                      range(start[a.source], stop[a.source]))
+                  for a in alg.arrows}
+        sums.append(Representation(alg, {v: stop[v] - start[v] for v in alg.vertices},
+                                   arrows, check=False))
+        start = stop
+    return sums, iso, inv
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +283,22 @@ def _arm_connecting_module(alg: CanonicalAlgebra, i: int) -> Representation:
     return Representation(alg, dims, arrows)
 
 
-def _tube_cache(alg):
-    cache = getattr(alg, "_canrep_tube_cache", None)
-    if cache is None:
-        cache = {}
-        alg._canrep_tube_cache = cache
-    return cache
-
-
 def regular_simples(alg: CanonicalAlgebra, tube: TubeId, rng=None) -> list[Representation]:
-    """The tau-orbit of mouth modules, ordered so entry k+1 = tau^{-1}(entry k)."""
-    validate_tube(alg, tube)
-    cache = _tube_cache(alg)
-    key = (tube.kind, tube.arm, tube.poly)
-    if key in cache:
-        return cache[key]
-    rng = rng if rng is not None else random.Random(0)
+    """The tau-orbit of mouth modules, ordered so entry k+1 = tau^{-1}(entry k).
+
+    The orbit is built and certified once per algebra and tube; later calls
+    draw nothing from rng and return a fresh list of the same modules.
+    """
+    key = ("mouths", tube)
+    orbit = alg.module_cache.get(key)
+    if orbit is None:
+        validate_tube(alg, tube)
+        orbit = alg.module_cache[key] = _mouth_orbit(
+            alg, tube, rng if rng is not None else random.Random(0))
+    return list(orbit)
+
+
+def _mouth_orbit(alg: CanonicalAlgebra, tube: TubeId, rng) -> list[Representation]:
     delta = alg.defect_form()
     if tube.kind == "point":
         s = _point_simple(alg, tube)
@@ -276,8 +306,7 @@ def regular_simples(alg: CanonicalAlgebra, tube: TubeId, rng=None) -> list[Repre
         back = tau_inverse(s)
         if is_isomorphic(back, s, rng) is None:
             raise TubeError("homogeneous mouth is not tau-stable")
-        cache[key] = [s]
-        return cache[key]
+        return [s]
     i = tube.arm
     candidates = [_arm_connecting_module(alg, i)]
     candidates += [
@@ -304,7 +333,6 @@ def regular_simples(alg: CanonicalAlgebra, tube: TubeId, rng=None) -> list[Repre
     closing = tau_inverse(cur)
     if is_isomorphic(closing, orbit[0], rng) is None:
         raise TubeError("tau orbit does not close up")
-    cache[key] = orbit
     return orbit
 
 
@@ -404,26 +432,34 @@ class UniserialTower:
 
 def uniserial_tower(alg: CanonicalAlgebra, tube: TubeId, socle_index: int,
                     rlen: int, rng=None) -> UniserialTower:
+    """S[1] c ... c S[rlen] with socle the mouth orbit[socle_index] of tube.
+
+    Each layer is the middle of the first Ext^1 basis class of the next mouth
+    by the layer below, so a tower is fixed by its orbit.  The longest tower
+    built so far per (tube, socle) is kept in the algebra's module cache: a
+    shorter request is a prefix of it and a longer one stacks layers on its
+    top.  The returned lists are fresh; the modules in them are shared.
+    """
     if rlen < 1:
         raise TubeError("regular length must be >= 1")
-    rng = rng if rng is not None else random.Random(0)
     orbit = regular_simples(alg, tube, rng)
     n = len(orbit)
     if not 0 <= socle_index < n:
         raise TubeError(f"socle index out of range 0..{n - 1}")
-    layers = [orbit[socle_index]]
-    inclusions, tops = [], []
-    for j in range(1, rlen):
+    key = ("tower", tube, socle_index)
+    layers, inclusions, tops = alg.module_cache.setdefault(
+        key, ([orbit[socle_index]], [], []))
+    for j in range(len(layers), rlen):
         top = orbit[(socle_index + j) % n]
-        space = ExtSpace(top, layers[-1])
-        basis = space.basis()
+        basis = ExtSpace(top, layers[-1]).basis()
         if not basis:
             raise TubeError("missing extension while stacking the tube")
         ses = basis[0].realize()
         layers.append(ses.middle)
         inclusions.append(ses.inclusion)
         tops.append(ses.quotient)
-    return UniserialTower(TubePosition(tube, socle_index, rlen), layers, inclusions, tops)
+    return UniserialTower(TubePosition(tube, socle_index, rlen), layers[:rlen],
+                          inclusions[:rlen - 1], tops[:rlen - 1])
 
 
 def tower_over(s: Representation, rlen: int, rng) -> UniserialTower:
@@ -502,19 +538,16 @@ def partition_by_tubes(m: Representation, tubes, rng=None) -> TubePartition:
     chosen = set()
     for tube in tubes:
         validate_tube(alg, tube)
-        chosen.add((tube.kind, tube.arm, tube.poly))
+        chosen.add(tube)
     delta = alg.defect_form()
     ins, outs = [], []
     for leaf, incl in indecomposable_summands(m, rng):
         if delta(leaf.dims) != 0:
             raise TubeError("partition needs a module in add t")
         tube = tube_of(leaf, rng)
-        (ins if (tube.kind, tube.arm, tube.poly) in chosen else outs).append((leaf, incl))
-    _, iso, inv = sum_onto(m, [incl for _, incl in ins + outs])
-    if inv is None:
-        raise TubeError("tube partition certificate is not invertible")
-    return TubePartition(direct_sum([r for r, _ in ins], alg).rep,
-                         direct_sum([r for r, _ in outs], alg).rep, iso, inv,
+        (ins if tube in chosen else outs).append((leaf, incl))
+    (inside, outside), iso, inv = _grouped_sum_onto(m, [ins, outs], "tube partition")
+    return TubePartition(inside, outside, iso, inv,
                          [r for r, _ in ins], [r for r, _ in outs])
 
 

@@ -125,6 +125,17 @@ def test_exit_codes(files, capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+@pytest.mark.parametrize("weight", [2, 3])
+def test_single_arm_tube_is_rejected_up_front(tmp_path, capsys, weight):
+    alg_path = tmp_path / "line.json"
+    alg_path.write_text(json.dumps(canonical_algebra(F5, [weight], []).spec()))
+    code, out = run(capsys, ["tube-simples", "--algebra", str(alg_path), "--tube", "arm:1"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain"
+    assert "single-arm" in error["message"]
+
+
 def test_slope_commands(tmp_path, capsys):
     alg = canonical_algebra(F5, [2, 2, 2, 2], [2, 3])
     alg_path = tmp_path / "tub.json"
@@ -189,9 +200,11 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     ("arm:x", "tube"),                                  # an arm label that is not a number
     ("arm:", "tube"),                                   # an arm label that is missing
     ("arm:1.5", "tube"),                                # an arm label that is not an integer
+    ("foo", "tube"),                                    # neither the arm: nor the pt: prefix
+    ("pt", "tube"),                                     # a prefix without its colon
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
         "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
-        "arm-letter", "arm-empty", "arm-fraction"])
+        "arm-letter", "arm-empty", "arm-fraction", "foo", "pt"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from canrep.errors import AlgebraError
 from canrep.exactla import Matrix
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
@@ -79,8 +80,22 @@ def test_kronecker_injectives():
     assert ic.arrows["x1"].rank() == 1 and ic.arrows["x2"].rank() == 1
 
 
+def test_projectives_and_injectives_are_built_once_per_algebra():
+    alg = canonical_algebra(F5, [2, 2, 2], [2])
+    for v in alg.vertices:
+        assert projective_at(alg, v) is projective_at(alg, v)
+        assert injective_at(alg, v) is injective_at(alg, v)
+    # a second algebra object builds its own, equal modules
+    other = canonical_algebra(F5, [2, 2, 2], [2])
+    for build in (projective_at, injective_at):
+        mine, theirs = build(alg, "0"), build(other, "0")
+        assert mine is not theirs
+        assert mine.dims == theirs.dims and mine.arrows == theirs.arrows
+    with pytest.raises(AlgebraError):
+        projective_at(alg, "nope")
+
+
 def test_relation_checked_on_construction():
-    from canrep.errors import AlgebraError
     alg = canonical_algebra(QQ, [2, 2, 2], [Fraction(2)])
     dims = {v: 1 for v in alg.vertices}
     arrows = {a.label: [[1]] for a in alg.arrows}

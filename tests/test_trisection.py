@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from canrep.approx import prufer_chain
-from canrep.errors import TubeError
+from canrep.errors import ParseError, TubeError
 from canrep.homology import ext1_dim
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
@@ -19,6 +19,7 @@ from canrep.repcat import (
 from canrep.trisection import (
     TrisectLabel,
     TubeId,
+    TubePosition,
     classify,
     partition_by_tubes,
     pegs,
@@ -74,9 +75,18 @@ def test_split_trisect():
     assert tri.t_part.dims == {"0": 1, "c": 1}
     assert tri.q_part.dims == {"0": 1, "c": 0}
     assert tri.iso.inverse() is not None
+    # each part is the direct sum of its summands, entry for entry
+    for part, summands in ((tri.p_part, tri.p_summands), (tri.t_part, tri.t_summands),
+                           (tri.q_part, tri.q_summands)):
+        assert _entries(part) == _entries(direct_sum(summands, alg).rep)
     # indecomposable regular input
     tri2 = split_trisect(kron_point(alg, 1))
     assert tri2.p_part.is_zero() and tri2.q_part.is_zero()
+    assert _entries(tri2.p_part) == _entries(direct_sum([], alg).rep)
+
+
+def _entries(rep):
+    return rep.dims, rep.arrows
 
 
 def test_tube_validation():
@@ -101,6 +111,22 @@ def test_tube_id_round_trip():
     for text in ("arm:2", "pt:∞", "pt:t^2+2", "pt:t"):
         tid = TubeId.parse(alg.field, text)
         assert tid.to_str(alg.field) == text
+
+
+@pytest.mark.parametrize("text", ["foo", "pt", "arm1", ""])
+def test_tube_id_without_a_prefix_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="bad tube id"):
+        TubeId.parse(F5, text)
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+def test_single_arm_algebra_has_no_tubes(weight):
+    alg = canonical_algebra(F5, [weight], [])
+    for tube in (TubeId.for_arm(1), TubeId.for_point((1, 1))):
+        with pytest.raises(TubeError, match="single-arm"):
+            validate_tube(alg, tube)
+    with pytest.raises(TubeError, match="single-arm"):
+        regular_simples(alg, TubeId.for_arm(1))
 
 
 def test_regular_simples_kronecker_points():
@@ -183,6 +209,63 @@ def test_tower_layers_and_quotients():
         assert is_isomorphic(cok, tower.layers[0]) is not None
 
 
+def _tower_entries(tower):
+    return ([_entries(m) for m in tower.layers],
+            [(_entries(f.source), _entries(f.target), f.maps) for f in tower.inclusions],
+            [_entries(m) for m in tower.tops])
+
+
+@pytest.mark.parametrize("weights, tube", [
+    ([], TubeId.for_point((0, 1))),
+    ([2, 3], TubeId.for_arm(2)),
+], ids=["kronecker-point", "arm-rank-3"])
+def test_cached_towers_match_a_fresh_build(weights, tube):
+    alg = canonical_algebra(F5, weights, [])
+    for socle in range(len(regular_simples(alg, tube))):
+        for rlen in (2, 4, 3):
+            tower = uniserial_tower(alg, tube, socle, rlen)
+            fresh = uniserial_tower(canonical_algebra(F5, weights, []), tube, socle, rlen)
+            assert tower.position == fresh.position == TubePosition(tube, socle, rlen)
+            assert len(tower.layers) == rlen
+            assert _tower_entries(tower) == _tower_entries(fresh)
+
+
+def test_cache_hits_draw_nothing_from_rng():
+    tube = TubeId.for_point((2, 0, 1))              # t^2 + 2: a degree-2 mouth
+    cold = random.Random(11)
+    uniserial_tower(kron(F5), tube, 0, 3, cold)
+    alg = kron(F5)
+    rng = random.Random(11)
+    regular_simples(alg, tube, rng)
+    state = rng.getstate()
+    assert state != random.Random(11).getstate()   # certifying the mouth draws
+    assert state == cold.getstate()                # stacking the tower does not
+    uniserial_tower(alg, tube, 0, 3, rng)
+    uniserial_tower(alg, tube, 0, 4, rng)
+    regular_simples(alg, tube, rng)
+    assert rng.getstate() == state
+
+
+def test_mutating_returned_lists_leaves_the_cache_alone():
+    alg = canonical_algebra(F5, [2, 3], [])
+    tube = TubeId.for_arm(2)
+    orbit = regular_simples(alg, tube)
+    first = list(orbit)
+    orbit.reverse()
+    orbit.pop()
+    assert regular_simples(alg, tube) == first
+    tower = uniserial_tower(alg, tube, 0, 3)
+    tower.layers.pop()
+    tower.inclusions.clear()
+    tower.tops.append(None)
+    again = uniserial_tower(alg, tube, 0, 3)
+    assert (len(again.layers), len(again.inclusions), len(again.tops)) == (3, 2, 2)
+    assert again.layers[0] is first[0]
+    longer = uniserial_tower(alg, tube, 0, 4)
+    assert (len(longer.layers), len(longer.inclusions), len(longer.tops)) == (4, 3, 3)
+    assert longer.layers[:3] == again.layers
+
+
 def test_tube_of():
     alg = kron(F5)
     s0 = regular_simples(alg, TubeId.for_point((0, 1)))[0]
@@ -232,6 +315,9 @@ def test_partition_by_tubes():
     # cross-hom between the parts vanishes
     assert hom_dim(part.inside, part.outside) == 0
     assert hom_dim(part.outside, part.inside) == 0
+    for p in (part, part2):
+        assert _entries(p.inside) == _entries(direct_sum(p.inside_summands, alg).rep)
+        assert _entries(p.outside) == _entries(direct_sum(p.outside_summands, alg).rep)
     with pytest.raises(TubeError):
         partition_by_tubes(projective_at(alg, "0"), [TubeId.for_point((0, 1))])
 
