@@ -8,9 +8,13 @@ new value.  Target sizes are small (dimensions well under 200).
   of its data.  Results computed here (products, sums, ``rref``, transposes,
   stacks, ...) are built by ``Matrix._make``, which trusts the shape.
 - Elimination (``rref`` and what is built on it) and ``minimal_polynomial``
-  change whole rows through two row kernels chosen from the field's type.
-  Over ``F_p`` these and ``__mul__`` compute on plain ints with one ``% p`` per
-  cell; over Q and k(t) they call the field's methods.
+  update rows in place and visit only the nonzero columns of the pivot row:
+  each pivot row is listed once as (column, value) pairs right of its 1, and
+  every other row with a nonzero in the pivot column changes at those columns
+  alone.  Over ``F_p`` that update, like ``__mul__``, computes on plain ints
+  (canonical, 0 <= x < p) with one ``% p`` per cell; over Q and k(t) it calls
+  the field's methods.  The reduced row-echelon form is unique, so skipping
+  zero cells changes no result.
 - ``minimal_polynomial`` makes one incremental echelon pass over the
   flattened powers instead of solving a new system for every degree.
 """
@@ -24,25 +28,26 @@ from ..errors import DimensionMismatch
 from .fields import PrimeField
 
 
-def _row_kernels(F):
-    """(scale, axpy) over F: scale(s, row) = s*row, axpy(row, f, prow) = row - f*prow."""
+def _eliminate(F, rows, c, pairs):
+    """Clear column c of each row in rows, in place, with a pivot row that has
+    a 1 at c and the nonzero (column, value) pairs right of c given: each row
+    with f = row[c] != 0 loses f times the pivot row at those columns only."""
     if isinstance(F, PrimeField):
         p = F.p
-
-        def scale(s, row):
-            return [s * x % p for x in row]
-
-        def axpy(row, f, prow):
-            return [(a - f * b) % p for a, b in zip(row, prow)]
+        for row in rows:
+            f = row[c]
+            if f:
+                row[c] = 0
+                for j, x in pairs:
+                    row[j] = (row[j] - f * x) % p
     else:
-        mul, sub = F.mul, F.sub
-
-        def scale(s, row):
-            return [mul(s, x) for x in row]
-
-        def axpy(row, f, prow):
-            return [sub(a, mul(f, b)) for a, b in zip(row, prow)]
-    return scale, axpy
+        zero, mul, sub = F.zero, F.mul, F.sub
+        for row in rows:
+            f = row[c]
+            if f != zero:
+                row[c] = zero
+                for j, x in pairs:
+                    row[j] = sub(row[j], mul(f, x))
 
 
 class Matrix:
@@ -227,8 +232,7 @@ class Matrix:
     def rref(self):
         """Reduced row-echelon form; returns (R, pivot_columns)."""
         F = self.field
-        zero, one = F.zero, F.one
-        scale, axpy = _row_kernels(F)
+        zero, one, mul = F.zero, F.one, F.mul
         m = [list(r) for r in self.data]
         nrows, ncols = self.rows, self.cols
         pivots = []
@@ -236,18 +240,22 @@ class Matrix:
         for c in range(ncols):
             if r == nrows:
                 break
-            pr = next((i for i in range(r, nrows) if m[i][c] != zero), None)
-            if pr is None:
+            for pr in range(r, nrows):
+                if m[pr][c] != zero:
+                    break
+            else:
                 continue
-            m[r], m[pr] = m[pr], m[r]
-            if m[r][c] != one:
-                m[r] = scale(F.inv(m[r][c]), m[r])
-            # the pivot row is zero left of c, so only columns c.. change
-            tail = m[r][c:]
-            for i in range(nrows):
-                f = m[i][c]
-                if i != r and f != zero:
-                    m[i][c:] = axpy(m[i][c:], f, tail)
+            prow = m[pr]
+            m[r], m[pr] = prow, m[r]
+            # the pivot row is zero left of c, so only its nonzeros right of c act
+            pairs = [(j, x) for j, x in enumerate(prow[c + 1:], c + 1) if x != zero]
+            if prow[c] != one:
+                inv = F.inv(prow[c])
+                prow[c] = one
+                pairs = [(j, mul(inv, x)) for j, x in pairs]
+                for j, x in pairs:
+                    prow[j] = x
+            _eliminate(F, m[:r] + m[r + 1:], c, pairs)
             pivots.append(c)
             r += 1
         return Matrix._make(F, nrows, ncols, m), tuple(pivots)
@@ -368,21 +376,20 @@ def minimal_polynomial(mats):
     n = sum(a.rows for a in mats)
     if n == 0:
         return (zero, one)
-    scale, axpy = _row_kernels(F)
-    stored = []   # (pivot, row with a 1 at the pivot, row as coefficients in the powers)
+    size = sum(a.rows * a.rows for a in mats)
+    stored = []   # (pivot, nonzero (column, value) pairs right of its 1)
     powers = [Matrix.identity(F, a.rows) for a in mats]
     for k in count():   # by Cayley-Hamilton a dependency appears by k = n
+        # the flattened power, then its coefficients in the powers I, A, ..., A^n
         vec = [x for pw in powers for row in pw.data for x in row]
-        coeffs = [zero] * (n + 1)
-        coeffs[k] = one
-        for piv, row, row_coeffs in stored:
-            f = vec[piv]
-            if f != zero:
-                vec = axpy(vec, f, row)
-                coeffs = axpy(coeffs, f, row_coeffs)
-        piv = next((j for j, x in enumerate(vec) if x != zero), None)
+        vec += [zero] * (n + 1)
+        vec[size + k] = one
+        for piv, pairs in stored:
+            _eliminate(F, (vec,), piv, pairs)
+        piv = next((j for j in range(size) if vec[j] != zero), None)
         if piv is None:
-            return tuple(coeffs[:k + 1])
+            return tuple(vec[size:size + k + 1])
         inv = F.inv(vec[piv])
-        stored.append((piv, scale(inv, vec), scale(inv, coeffs)))
+        stored.append((piv, [(j, F.mul(inv, x))
+                             for j, x in enumerate(vec[piv + 1:], piv + 1) if x != zero]))
         powers = [a * pw for a, pw in zip(mats, powers)]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraError, ChainError, TubeError
+from .errors import AlgebraError, ChainError, ParseError, TubeError
 from .exactla import Matrix
 from .homology import ExtSpace
 from .quiver_algebra import SINK, SOURCE, CanonicalAlgebra, QuiverAlgebra, arm_vertex
@@ -77,7 +77,10 @@ class Slope:
         text = text.strip()
         if text in ("∞", "inf", "infty"):
             return cls.infinity()
-        return cls.of(Fraction(text))
+        try:
+            return cls.of(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad slope {text!r}: expected a rational or ∞") from None
 
 
 class TubularAlgebra:

@@ -202,9 +202,14 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     ("arm:1.5", "tube"),                                # an arm label that is not an integer
     ("foo", "tube"),                                    # neither the arm: nor the pt: prefix
     ("pt", "tube"),                                     # a prefix without its colon
+    ("foo", "ratios"),                                  # a slope that is not a number
+    ("1/", "ratios"),                                   # a fraction without its denominator
+    ("0,1/0", "ratios"),                                # a zero denominator after a good slope
+    ("nan", "ratios"),                                  # a float word that is no rational
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
         "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
-        "arm-letter", "arm-empty", "arm-fraction", "foo", "pt"])
+        "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
+        "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)
@@ -212,6 +217,10 @@ def test_malformed_json_is_a_parse_error(files, capsys, text, where):
         argv = ["classify", "--rep", str(bad)]
     elif where == "tube":
         argv = ["tube-simples", "--algebra", files["alg"], "--tube", text]
+    elif where == "ratios":
+        tubular = files["tmp"] / "tub.json"
+        tubular.write_text(json.dumps(canonical_algebra(F5, [2, 2, 2, 2], [2, 3]).spec()))
+        argv = ["chain", "--seed", "1", "--algebra", str(tubular), "--ratios", text]
     else:
         argv = ["classify", "--rep", files["pc"], "--algebra", str(bad)]
     code, out = run(capsys, argv)

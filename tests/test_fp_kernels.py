@@ -1,21 +1,30 @@
-"""The F_p elimination and product kernels against cell-by-cell references."""
+"""The elimination, product and minimal-polynomial kernels against cell-by-cell
+references."""
 
 import random
 
 import pytest
 
 from canrep.errors import DimensionMismatch
-from canrep.exactla import Matrix, PrimeField
+from canrep.exactla import FunctionField, Matrix, PrimeField, minimal_polynomial
+from canrep.repcat import direct_sum, hom_basis, projective_at, simple_at
 
 from helpers import (
     QQ,
+    conjugate,
+    kron,
+    kron_jordan,
+    kron_point,
     reference_kernel_columns,
+    reference_minimal_polynomial,
     reference_mul,
     reference_rref,
     reference_solve,
 )
 
 FIELDS = [PrimeField(2), PrimeField(5), PrimeField(7), QQ]
+SPARSE_FIELDS = [PrimeField(2), PrimeField(5), PrimeField(101), QQ]
+DENSITIES = [0.05, 0.1, 0.2, 0.35, 0.5]
 
 
 def random_matrix(F, rows, cols, rng):
@@ -48,6 +57,97 @@ def test_rref_and_kernel_match_reference(F):
         assert (ker.rows, ker.cols) == (cols, cols - len(ref_pivots))
         assert [list(c) for c in zip(*ker.data)] == reference_kernel_columns(a)
         assert (a * ker).is_zero()
+
+
+def sparse_matrix(F, rows, cols, density, rng):
+    """Each entry a random field element with probability density, else 0."""
+    return Matrix(F, rows, cols, [[F.random(rng) if rng.random() < density else F.zero
+                                   for _ in range(cols)] for _ in range(rows)])
+
+
+def check_rref(a):
+    """rref equal to the cell-by-cell reference, and a itself left unchanged."""
+    before = tuple(tuple(row) for row in a.data)
+    r, pivots = a.rref()
+    ref_rows, ref_pivots = reference_rref(a)
+    assert pivots == ref_pivots
+    assert r == Matrix(a.field, a.rows, a.cols, ref_rows)
+    assert a.data == before
+
+
+@pytest.mark.parametrize("F", SPARSE_FIELDS, ids=repr)
+def test_sparse_rref_matches_reference(F):
+    rng = random.Random(14)
+    for density in DENSITIES:
+        for _ in range(12):
+            check_rref(sparse_matrix(F, rng.randint(1, 24), rng.randint(1, 24),
+                                     density, rng))
+
+
+def test_sparse_rref_over_function_field_matches_reference():
+    F = FunctionField(QQ)
+    rng = random.Random(15)
+    for density in DENSITIES:
+        for _ in range(4):
+            check_rref(sparse_matrix(F, rng.randint(1, 5), rng.randint(1, 5), density, rng))
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(5), QQ], ids=repr)
+def test_hom_systems_match_reference(F, monkeypatch):
+    """The commuting-square systems hom_basis solves for conjugated Kronecker
+    modules; the larger ones have a fifth to a third of their cells nonzero."""
+    systems = []
+    kernel_basis = Matrix.kernel_basis
+
+    def recording_kernel_basis(self):
+        systems.append(self)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(Matrix, "kernel_basis", recording_kernel_basis)
+    rng = random.Random(16)
+    alg = kron(F)
+    mixed = direct_sum([kron_jordan(alg, 0, 2), kron_point(alg, 1), simple_at(alg, "0"),
+                        projective_at(alg, "c")]).rep
+    modules = [conjugate(rep, rng) for rep in
+               (kron_jordan(alg, 1, 3), kron_jordan(alg, 0, 2), kron_point(alg, 1), mixed)]
+    for m in modules:
+        for n in modules:
+            hom_basis(m, n)
+    monkeypatch.undo()
+    assert len(systems) == len(modules) ** 2
+    for system in systems:
+        check_rref(system)
+
+
+def random_permutation_matrix(F, n, rng):
+    perm = rng.sample(range(n), n)
+    return Matrix(F, n, n, [[F.one if j == perm[i] else F.zero for j in range(n)]
+                            for i in range(n)])
+
+
+def random_nilpotent(F, n, density, rng):
+    """Strictly upper triangular, conjugated by a permutation."""
+    upper = sparse_matrix(F, n, n, density, rng)
+    strict = Matrix(F, n, n, [[x if j > i else F.zero for j, x in enumerate(row)]
+                              for i, row in enumerate(upper.data)])
+    p = random_permutation_matrix(F, n, rng)
+    return p * strict * p.transpose()
+
+
+@pytest.mark.parametrize("F", SPARSE_FIELDS, ids=repr)
+def test_sparse_minimal_polynomial_matches_reference(F):
+    rng = random.Random(17)
+    for density in DENSITIES:
+        n = rng.randint(1, 8)
+        nil = random_nilpotent(F, n, density, rng)
+        perm = random_permutation_matrix(F, n, rng)
+        sparse = sparse_matrix(F, n, n, density, rng)
+        for mats in ((nil,), (perm,), (sparse,), (Matrix.block_diag(F, [nil, perm, sparse]),),
+                     (nil, Matrix.zeros(F, 0, 0), perm, sparse)):
+            assert minimal_polynomial(mats) == reference_minimal_polynomial(mats)
+        shift = Matrix(F, n, n, [[F.one if j == i + 1 else F.zero for j in range(n)]
+                                 for i in range(n)])
+        assert minimal_polynomial((shift,)) == (F.zero,) * n + (F.one,)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)

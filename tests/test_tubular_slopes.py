@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from canrep.errors import AlgebraError, ChainError, TubeError
+from canrep.errors import AlgebraError, ChainError, ParseError, TubeError
 from canrep.homology import tau
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
@@ -122,6 +122,16 @@ def test_forward_maps_exist_between_slopes():
     lows = slope_pool(tub, Slope.zero(), rng, 8)
     highs = slope_pool(tub, Slope.infinity(), rng, 8)
     assert any(hom_dim(lo, hi) > 0 for lo in lows[:3] for hi in highs[:3])
+
+
+def test_slope_parse():
+    assert Slope.parse(" 1/3 ") == Slope.of(Fraction(1, 3))
+    assert Slope.parse("0") == Slope.zero()
+    for text in ("∞", "inf", "infty"):
+        assert Slope.parse(text) == Slope.infinity()
+    for text in ("foo", "1/", "1/0", "nan", "", "∞∞"):
+        with pytest.raises(ParseError):
+            Slope.parse(text)
 
 
 def test_chain_zero_one():
