@@ -26,11 +26,13 @@ from .quiver_algebra import CanonicalAlgebra
 from .repcat import (
     Morphism,
     Representation,
+    block_diagonal,
     cokernel,
     direct_sum,
     factor_through_injection,
     factor_through_surjection,
     find_injective_morphism,
+    from_sum,
     hom_basis,
     hom_dim,
     kernel,
@@ -154,18 +156,14 @@ def left_omega_approx(m: Representation, params: TruncationParams,
         return LeftApproximation(seq, kept, stripped, params, blocks,
                                  mult_by_tube, certs)
 
+    # the universal-extension quotient is the sum of the towers' socles
     t_small = ue.sequence.quotient
-    sum_small = direct_sum([tw.layers[0] for tw in towers], alg)
-    sum_big = direct_sum([tw.top_module for tw in towers], alg)
-    u = Morphism.zero(sum_small.rep, sum_big.rep)
-    for inj, tw, proj in zip(sum_big.injections, towers, sum_small.projections):
-        u = u + inj.after(tw.socle_inclusion()).after(proj)
-    # rebind: the universal-extension quotient is the same block sum
-    u = Morphism(t_small, sum_big.rep, u.maps, check=False)
+    sum_big = direct_sum([tw.top_module for tw in towers], alg).rep
+    u = block_diagonal(t_small, sum_big, [tw.socle_inclusion() for tw in towers])
 
     space_small = ExtSpace(t_small, kept)
     theta_small = space_small.class_of_sequence(ue.sequence).cocycle
-    pres_big = minimal_projective_presentation(sum_big.rep)
+    pres_big = minimal_projective_presentation(sum_big)
 
     lam = lift_through_surjection(space_small.pres.p0.rep, pres_big.cover,
                                   u.after(space_small.pres.cover))
@@ -219,22 +217,16 @@ def extend_left_approx(approx: LeftApproximation, new_depth: int, rng=None):
     deeper = left_omega_approx(approx.kept, new_params, rng)
     # block-diagonal inclusion of the old quotient towers into the new ones
     alg = approx.kept.algebra
-    old_tw = [uniserial_tower(alg, tube, idx, approx.params.depth, rng)
-              for tube, idx in approx.blocks]
-    new_tw = [uniserial_tower(alg, tube, idx, new_depth, rng)
-              for tube, idx in deeper.blocks]
-    if len(old_tw) != len(new_tw):
+    if len(approx.blocks) != len(deeper.blocks):
         raise ApproximationError("block mismatch between depths")
-    old_sum = direct_sum([tw.top_module for tw in old_tw], alg)
-    new_sum = direct_sum([tw.top_module for tw in new_tw], alg)
-    u = Morphism.zero(old_sum.rep, new_sum.rep)
-    for inj, tw, proj in zip(new_sum.injections, new_tw, old_sum.projections):
+    steps = []
+    for tube, idx in deeper.blocks:
+        tw = uniserial_tower(alg, tube, idx, new_depth, rng)
         step = Morphism.identity(tw.layers[approx.params.depth - 1])
         for k in range(approx.params.depth - 1, new_depth - 1):
             step = tw.inclusions[k].after(step)
-        u = u + inj.after(step).after(proj)
-    u = Morphism(approx.sequence.quotient, deeper.sequence.quotient,
-                 u.maps, check=False)
+        steps.append(step)
+    u = block_diagonal(approx.sequence.quotient, deeper.sequence.quotient, steps)
     # solve for h: X_r -> X_{r'} with h o mu = mu' and pi' o h = u o pi
     hb = hom_basis(approx.middle, deeper.middle)
     cols = [(h.after(approx.sequence.inclusion).flatten()
@@ -311,14 +303,12 @@ def right_omega_approx(m: Representation, params: TruncationParams,
         trial = [c for c in kept if c is not cand]
         if next(uncovered(trial), None) is None:
             kept = trial
-    ds = direct_sum([c[3] for c in kept], alg)
-    g = Morphism.zero(ds.rep, m)
-    for (tube, idx, bi, topm, f), proj in zip(kept, ds.projections):
-        g = g + f.after(proj)
+    cover = direct_sum([c[3] for c in kept], alg).rep
+    g = from_sum(cover, m, [c[4] for c in kept])
     ker_rep, ker_incl = kernel(g)
     torsion = torsion_part(ker_rep, rng)
     if torsion.module.is_zero():
-        final = ShortExactSequence(ker_rep, ds.rep, m, ker_incl, g).verify()
+        final = ShortExactSequence(ker_rep, cover, m, ker_incl, g).verify()
     else:
         inside = ker_incl.after(torsion.inclusion)
         n_quot, n_proj = cokernel(inside)

@@ -23,7 +23,7 @@ from .approx import (
 )
 from .errors import CanrepError, ParseError
 from .homology import ext1_basis, tau_inverse_with_report, tau_with_report
-from .repcat import decompose, hom_basis, projective_at
+from .repcat import decompose, hom_basis, hom_dim, projective_at
 from .serialize import (
     dumps,
     load_algebra,
@@ -45,6 +45,7 @@ from .tubular_slopes import (
     Slope,
     TubularAlgebra,
     chain_toward_slope,
+    slope,
     slope_order_check,
 )
 
@@ -197,8 +198,6 @@ def cmd_generic(args):
 def cmd_endolength(args):
     alg = load_algebra(args.algebra)
     gm = kronecker_generic(alg)
-    from .repcat import hom_dim
-
     return {"endolength": endolength(gm),
             "end_dim": hom_dim(gm.module, gm.module)}
 
@@ -224,9 +223,7 @@ def _tubular(args):
 def cmd_slope(args):
     tub = _tubular(args)
     m = load_representation(args.rep, tub.algebra)
-    from .tubular_slopes import slope as slope_fn
-
-    s = slope_fn(m, tub, _rng(args))
+    s = slope(m, tub, _rng(args))
     d0 = tub.delta_zero(m.dims)
     di = tub.delta_infinity(m.dims)
     family = "t0" if s == Slope.zero() else ("t-inf" if s.infinite else "middle")

@@ -22,7 +22,10 @@ class TubeError(CanrepError):
 
 
 class DecompositionError(CanrepError):
-    """The randomized splitter stalled; retry with a larger field or new seed."""
+    """Factoring or splitting could not finish or certify its result: no
+    factoring backend for the field, a constant polynomial or a factorization
+    that loses degree, a primary decomposition that does not fill the module,
+    or a decomposition certificate or End(M) table that fails its check."""
 
 
 class ApproximationError(CanrepError):

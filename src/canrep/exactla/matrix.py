@@ -5,8 +5,10 @@ Matrices are immutable (tuple-of-tuples storage); every operation returns a
 new value.  Target sizes are small (dimensions well under 200).
 
 - The public constructor ``Matrix(field, rows, cols, data)`` checks the shape
-  of its data.  Results computed here (products, sums, ``rref``, transposes,
-  stacks, ...) are built by ``Matrix._make``, which trusts the shape.
+  of its data and stores ``F_p`` entries through ``field.coerce``, so they are
+  canonical.  Results computed here (products, sums, ``rref``, transposes,
+  stacks, ...) and matrices whose entries are already canonical are built by
+  ``Matrix._make``, which trusts both.
 - Elimination (``rref`` and what is built on it) and ``minimal_polynomial``
   update rows in place and visit only the nonzero columns of the pivot row:
   each pivot row is listed once as (column, value) pairs right of its 1, and
@@ -60,6 +62,8 @@ class Matrix:
         data = tuple(tuple(r) for r in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch(f"expected {rows}x{cols} data")
+        if isinstance(field, PrimeField):
+            data = tuple(tuple(map(field.coerce, r)) for r in data)
         self.data = data
 
     @classmethod
@@ -71,12 +75,6 @@ class Matrix:
         return out
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, field, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        return cls(field, rows, cols, rows_list)
 
     @classmethod
     def zeros(cls, field, rows, cols):

@@ -15,13 +15,14 @@ from .exactla import Matrix
 from .repcat import (
     Morphism,
     Presentation,
-    ProjSum,
     Representation,
+    block_diagonal,
     cokernel,
     direct_sum,
     dualize,
     factor_through_injection,
     factor_through_surjection,
+    from_sum,
     hom_basis,
     is_isomorphic,
     kernel,
@@ -100,8 +101,7 @@ class ExtSpace:
         basis_cols = [f.flatten() for f in self._hom_omega]
         all_cols = img_cols + basis_cols
         if flat_len and all_cols:
-            _, pivots = Matrix(F, flat_len, len(all_cols),
-                               [list(r) for r in zip(*all_cols)]).rref()
+            _, pivots = Matrix._make(F, flat_len, len(all_cols), zip(*all_cols)).rref()
         else:
             pivots = ()
         self._n_img = len(img_cols)
@@ -256,45 +256,15 @@ def _end_action_on_syzygy(pres: Presentation, g: Morphism) -> Morphism:
 
 def _sum_presentation(parts: list[Presentation], algebra) -> Presentation:
     """Presentation of a direct sum assembled from presentations of the parts."""
-    module = direct_sum([p.module for p in parts], algebra)
-    p0_verts = [v for p in parts for v in p.p0.summand_vertices]
-    p1_verts = [v for p in parts for v in p.p1.summand_vertices]
-    omega = direct_sum([p.omega for p in parts], algebra)
-
-    def stack_block(big_src, big_tgt, blocks, src_sums, tgt_injs):
-        total = Morphism.zero(big_src, big_tgt)
-        for blk, proj, inj in zip(blocks, src_sums, tgt_injs):
-            total = total + inj.after(blk).after(proj)
-        return total
-
-    p0_parts = direct_sum([p.p0.rep for p in parts], algebra)
-    p1_parts = direct_sum([p.p1.rep for p in parts], algebra)
-    # the assembled projective sums equal the block sums component by component
-    cover = stack_block(p0_parts.rep, module.rep,
-                        [p.cover for p in parts], p0_parts.projections,
-                        module.injections)
-    omega_incl = stack_block(omega.rep, p0_parts.rep,
-                             [p.omega_incl for p in parts], omega.projections,
-                             p0_parts.injections)
-    p1_cover = stack_block(p1_parts.rep, omega.rep,
-                           [p.p1_cover for p in parts], p1_parts.projections,
-                           omega.injections)
+    module = direct_sum([p.module for p in parts], algebra).rep
+    omega = direct_sum([p.omega for p in parts], algebra).rep
+    p0 = projective_sum(algebra, [v for p in parts for v in p.p0.summand_vertices])
+    p1 = projective_sum(algebra, [v for p in parts for v in p.p1.summand_vertices])
+    cover = block_diagonal(p0.rep, module, [p.cover for p in parts])
+    omega_incl = block_diagonal(omega, p0.rep, [p.omega_incl for p in parts])
+    p1_cover = block_diagonal(p1.rep, omega, [p.p1_cover for p in parts])
     d = omega_incl.after(p1_cover)
-    p0 = ProjSum(p0_parts.rep, p0_verts, _sum_offsets(parts, algebra, "p0"))
-    p1 = ProjSum(p1_parts.rep, p1_verts, _sum_offsets(parts, algebra, "p1"))
-    return Presentation(module.rep, p0, cover, omega.rep, omega_incl, p1, p1_cover, d)
-
-
-def _sum_offsets(parts, algebra, which):
-    offsets = []
-    acc = {v: 0 for v in algebra.vertices}
-    for p in parts:
-        ps = getattr(p, which)
-        for off in ps.offsets:
-            offsets.append({v: acc[v] + off[v] for v in algebra.vertices})
-        for v in algebra.vertices:
-            acc[v] += ps.rep.dims[v]
-    return offsets
+    return Presentation(module, p0, cover, omega, omega_incl, p1, p1_cover, d)
 
 
 def universal_extension(m: Representation, simples: list) -> UniversalExtension:
@@ -352,11 +322,7 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
         return UniversalExtension(seq, used, mults)
 
     total_pres = _sum_presentation([pres for pres, _ in blocks], alg)
-    omega_sum = direct_sum([pres.omega for pres, _ in blocks], alg)
-    cocycle = Morphism.zero(total_pres.omega, m)
-    for proj, (pres, theta) in zip(omega_sum.projections, blocks):
-        comp = theta.after(proj)
-        cocycle = cocycle + Morphism(total_pres.omega, m, comp.maps, check=False)
+    cocycle = from_sum(total_pres.omega, m, [theta for _, theta in blocks])
     seq = realize_from_cocycle(total_pres, m, cocycle)
 
     if not all(kills_classes(space, seq.inclusion) for _, space, _ in chosen):

@@ -396,7 +396,7 @@ def algebra_from_spec(spec: dict) -> CanonicalAlgebra:
         raise ParseError("an algebra spec is a JSON object with a \"field\" object")
     field = field_from_spec(spec["field"])
     weights, params = spec.get("weights", []), spec.get("params", [])
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+    if not isinstance(weights, list) or not all(type(w) is int for w in weights):
         raise ParseError(f"weights must be a list of integers, got {weights!r}")
     if not isinstance(params, list) or not all(isinstance(x, str) for x in params):
         raise ParseError(f"params must be a list of strings, got {params!r}")

@@ -4,11 +4,16 @@ Hom spaces, kernels/cokernels/images, direct sums, simples, projectives,
 injectives, radicals and minimal projective presentations.  Everything is
 exact; every constructed value re-verifies its defining constraints.
 
-Two pieces of Hom-space glue live here and nowhere else.  Finding a morphism
-in a span is ``span_coordinates`` (flattened morphisms as columns, one solve)
-followed by ``linear_combination`` (rebuild the sum from the coefficients).
-Certifying a decomposition is ``sum_onto``: the direct sum of the pieces, the
-map that is each piece's morphism on its summand, and that map's inverse.
+Three pieces of Hom-space glue live here and nowhere else.  Finding a
+morphism in a span is ``span_coordinates`` (flattened morphisms as columns,
+one solve) followed by ``linear_combination`` (rebuild the sum from the
+coefficients).  Certifying a decomposition is ``sum_onto``: the direct sum of
+the pieces, the map that is each piece's morphism on its summand, and that
+map's inverse.  Maps into, out of and between direct sums are built from
+blocks: ``from_sum`` (X_1 (+) ... (+) X_n -> Y, one horizontal stack per
+vertex) and ``block_diagonal`` (f_1 (+) ... (+) f_n), never as a sum of
+injection-map-projection composites.  How a sum lays out its summands is
+decided once, in ``direct_sum`` (``DirectSum.offsets``).
 
 ``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
 algebra and keep it in ``algebra.module_cache``; every later call returns the
@@ -18,6 +23,8 @@ same object.  Cached modules are shared values: no caller may change them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from ..errors import AlgebraError, DimensionMismatch
 from ..exactla import Matrix
@@ -187,7 +194,8 @@ def morphism_from_flat(source, target, flat) -> Morphism:
     F = source.field
     for v in source.algebra.vertices:
         r, c = target.dims[v], source.dims[v]
-        maps[v] = Matrix(F, r, c, [flat[pos + i * c: pos + (i + 1) * c] for i in range(r)])
+        maps[v] = Matrix._make(F, r, c, [flat[pos + i * c: pos + (i + 1) * c]
+                                         for i in range(r)])
         pos += r * c
     return Morphism(source, target, maps, check=False)
 
@@ -236,7 +244,7 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
     if not rows:
         system = Matrix.zeros(F, 0, total)
     else:
-        system = Matrix(F, len(rows), total, rows)
+        system = Matrix._make(F, len(rows), total, rows)
     ker = system.kernel_basis()
     basis = []
     for j in range(ker.cols):
@@ -280,11 +288,31 @@ def coordinates_in_hom_basis(f: Morphism, basis: list[Morphism]):
 # direct sums
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DirectSum:
-    rep: Representation
-    injections: list
-    projections: list
+    """X_1 (+) ... (+) X_n laid out block by block.
+
+    ``offsets[i][v]`` is where summand i starts inside the v-component of
+    ``rep``; ``direct_sum`` computes it once.  The 0/1 biproduct maps
+    ``injections`` and ``projections`` are built from it on first read, so a
+    caller that reads only ``rep`` never builds them.
+    """
+
+    def __init__(self, rep: Representation, parts: list, offsets: list):
+        self.rep = rep
+        self.offsets = offsets
+        self._parts = parts
+
+    @cached_property
+    def injections(self) -> list:
+        ids = {v: Matrix.identity(self.rep.field, d) for v, d in self.rep.dims.items()}
+        return [Morphism(p, self.rep, {v: ids[v].select_columns(range(off[v], off[v] + d))
+                                       for v, d in p.dims.items()}, check=False)
+                for p, off in zip(self._parts, self.offsets)]
+
+    @cached_property
+    def projections(self) -> list:
+        return [Morphism(self.rep, inj.source, {v: m.transpose() for v, m in inj.maps.items()},
+                         check=False) for inj in self.injections]
 
 
 def direct_sum(parts: list[Representation], algebra=None) -> DirectSum:
@@ -295,25 +323,36 @@ def direct_sum(parts: list[Representation], algebra=None) -> DirectSum:
         return DirectSum(zero_representation(algebra), [], [])
     alg = parts[0].algebra
     F = parts[0].field
-    dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
-    arrows = {}
-    for a in alg.arrows:
-        arrows[a.label] = Matrix.block_diag(F, [p.arrows[a.label] for p in parts])
-    total = Representation(alg, dims, arrows, check=False)
-    injections, projections = [], []
-    offs = {v: 0 for v in alg.vertices}
-    z, one = F.zero, F.one
+    offsets = []
+    acc = dict.fromkeys(alg.vertices, 0)
     for p in parts:
-        inj, proj = {}, {}
+        offsets.append(dict(acc))
         for v in alg.vertices:
-            o, d, D = offs[v], p.dims[v], dims[v]
-            inj[v] = Matrix._make(F, D, d, [[one if r == o + i else z for i in range(d)]
-                                            for r in range(D)])
-            proj[v] = inj[v].transpose()
-            offs[v] = o + d
-        injections.append(Morphism(p, total, inj, check=False))
-        projections.append(Morphism(total, p, proj, check=False))
-    return DirectSum(total, injections, projections)
+            acc[v] += p.dims[v]
+    arrows = {a.label: Matrix.block_diag(F, [p.arrows[a.label] for p in parts])
+              for a in alg.arrows}
+    return DirectSum(Representation(alg, acc, arrows, check=False), list(parts), offsets)
+
+
+def from_sum(source: Representation, target: Representation, parts: list) -> Morphism:
+    """The map X_1 (+) ... (+) X_n = source -> target that is parts[i]: X_i -> target
+    on the i-th summand: one horizontal stack per vertex."""
+    if not parts:
+        return Morphism.zero(source, target)
+    maps = {v: Matrix._make(source.field, target.dims[v], sum(f.source.dims[v] for f in parts),
+                            [chain.from_iterable(rows)
+                             for rows in zip(*(f.maps[v].data for f in parts))])
+            for v in source.algebra.vertices}
+    return Morphism(source, target, maps, check=False)
+
+
+def block_diagonal(source: Representation, target: Representation, parts: list) -> Morphism:
+    """The map f_1 (+) ... (+) f_n: source -> target for parts[i] = f_i: X_i -> Y_i, with
+    source = X_1 (+) ... (+) X_n and target = Y_1 (+) ... (+) Y_n."""
+    F = source.field
+    return Morphism(source, target,
+                    {v: Matrix.block_diag(F, [f.maps[v] for f in parts])
+                     for v in source.algebra.vertices}, check=False)
 
 
 def sum_onto(m: Representation, parts: list[Morphism]):
@@ -322,11 +361,9 @@ def sum_onto(m: Representation, parts: list[Morphism]):
     sum is X_1 (+) ... (+) X_n, iso: sum -> m is parts[i] on the i-th summand,
     and inverse is its inverse, or None when iso is not invertible.
     """
-    ds = direct_sum([f.source for f in parts], m.algebra)
-    iso = Morphism.zero(ds.rep, m)
-    for f, proj in zip(parts, ds.projections):
-        iso = iso + f.after(proj)
-    return ds.rep, iso, iso.inverse()
+    total = direct_sum([f.source for f in parts], m.algebra).rep
+    iso = from_sum(total, m, parts)
+    return total, iso, iso.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +574,8 @@ class ProjSum:
 
 
 def projective_sum(algebra, vertices) -> ProjSum:
-    parts = [projective_at(algebra, v) for v in vertices]
-    if not parts:
-        return ProjSum(zero_representation(algebra), [], [])
-    ds = direct_sum(parts, algebra)
-    offsets = []
-    acc = {v: 0 for v in algebra.vertices}
-    for p in parts:
-        offsets.append(dict(acc))
-        for v in algebra.vertices:
-            acc[v] += p.dims[v]
-    return ProjSum(ds.rep, list(vertices), offsets)
+    ds = direct_sum([projective_at(algebra, v) for v in vertices], algebra)
+    return ProjSum(ds.rep, list(vertices), ds.offsets)
 
 
 def morphism_from_projective(algebra, w, target: Representation, gen_vector) -> Morphism:
@@ -563,7 +591,7 @@ def morphism_from_projective(algebra, w, target: Representation, gen_vector) -> 
             col = comp * gen_vector
             cols.append([col.data[i][0] for i in range(col.rows)])
         if cols:
-            maps[v] = Matrix(F, target.dims[v], len(cols), [list(r) for r in zip(*cols)])
+            maps[v] = Matrix._make(F, target.dims[v], len(cols), zip(*cols))
         else:
             maps[v] = Matrix.zeros(F, target.dims[v], 0)
     return Morphism(proj, target, maps, check=False)
@@ -572,20 +600,9 @@ def morphism_from_projective(algebra, w, target: Representation, gen_vector) -> 
 def morphism_from_projective_sum(ps: ProjSum, target: Representation,
                                  gen_vectors) -> Morphism:
     """Stack of generator-image morphisms out of each summand."""
-    alg, F = ps.rep.algebra, ps.rep.field
-    comps = [morphism_from_projective(alg, v, target, g)
+    comps = [morphism_from_projective(ps.rep.algebra, v, target, g)
              for v, g in zip(ps.summand_vertices, gen_vectors)]
-    maps = {}
-    for v in alg.vertices:
-        mats = [c.maps[v] for c in comps]
-        if mats:
-            acc = mats[0]
-            for mat in mats[1:]:
-                acc = acc.hstack(mat)
-            maps[v] = acc
-        else:
-            maps[v] = Matrix.zeros(F, target.dims[v], 0)
-    return Morphism(ps.rep, target, maps, check=False)
+    return from_sum(ps.rep, target, comps)
 
 
 def projective_cover(m: Representation):

@@ -42,6 +42,13 @@ def rep_to_json(rep: Representation, include_algebra: bool = True) -> dict:
     return out
 
 
+def _dim(d) -> int:
+    """A dimension: a JSON integer or integer string, never a bool, a float or negative."""
+    if isinstance(d, (bool, float)) or int(d) < 0:
+        raise ValueError(f"{d!r} is not a nonnegative integer")
+    return int(d)
+
+
 def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Representation:
     if algebra is None:
         spec = data.get("algebra")
@@ -52,7 +59,7 @@ def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Repres
         else:
             algebra = algebra_from_spec(spec)
     try:
-        dims = {str(v): int(d) for v, d in data.get("dims", {}).items()}
+        dims = {str(v): _dim(d) for v, d in data.get("dims", {}).items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dims: {exc}") from exc
     unknown = [v for v in dims if v not in algebra.vertex_index]

@@ -35,6 +35,7 @@ from .quiver_algebra import SINK, SOURCE, CanonicalAlgebra, arm_vertex
 from .repcat import (
     Morphism,
     Representation,
+    cokernel,
     direct_sum,
     factor_poly,
     hom_basis,
@@ -196,26 +197,14 @@ def split_trisect(m: Representation, rng=None) -> Trisection:
 def _grouped_sum_onto(m: Representation, groups, what: str):
     """(group sums, iso, inverse) for groups of (leaf, inclusion) pairs that split m.
 
-    The sum of all leaves, in group order, is built once by sum_onto; each
-    group's sum is its diagonal block, equal entry for entry to the direct
-    sum of that group's leaves.
+    iso is sum_onto's certificate out of the sum of all leaves in group order,
+    which is entry for entry the direct sum of the group sums.
     """
-    total, iso, inv = sum_onto(m, [incl for group in groups for _, incl in group])
+    _, iso, inv = sum_onto(m, [incl for group in groups for _, incl in group])
     if inv is None:
         raise TubeError(f"{what} certificate is not invertible")
-    alg = m.algebra
-    sums = []
-    start = dict.fromkeys(alg.vertices, 0)
-    for group in groups:
-        stop = {v: start[v] + sum(leaf.dims[v] for leaf, _ in group) for v in alg.vertices}
-        arrows = {a.label: total.arrows[a.label].submatrix(
-                      range(start[a.target], stop[a.target]),
-                      range(start[a.source], stop[a.source]))
-                  for a in alg.arrows}
-        sums.append(Representation(alg, {v: stop[v] - start[v] for v in alg.vertices},
-                                   arrows, check=False))
-        start = stop
-    return sums, iso, inv
+    return ([direct_sum([leaf for leaf, _ in group], m.algebra).rep for group in groups],
+            iso, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +502,6 @@ def regular_series(m: Representation, rng=None):
             cand, f = socle
             if not f.is_injective():
                 raise TubeError("mouth map is not injective (not regular?)")
-            from .repcat import cokernel
-
             current, _ = cokernel(f)
             factors.append(cand)
         out.append((leaf, factors))
@@ -569,13 +556,9 @@ def torsion_part(m: Representation, rng=None) -> TorsionPart:
     rng = rng if rng is not None else random.Random(0)
     tri = split_trisect(m, rng)
     alg = m.algebra
-    tq = direct_sum([tri.t_part, tri.q_part], alg)
-    # embed t (+) q through the trisection certificate
-    three = direct_sum([tri.p_part, tri.t_part, tri.q_part], alg)
-    incl = tri.iso.after(
-        three.injections[1].after(tq.projections[0])
-        + three.injections[2].after(tq.projections[1]))
-    from .repcat import cokernel
-
+    tq = direct_sum([tri.t_part, tri.q_part], alg).rep
+    # t (+) q embeds as the columns of the certificate p (+) t (+) q -> m after p
+    incl = Morphism(tq, m, {v: f.select_columns(range(tri.p_part.dims[v], f.cols))
+                            for v, f in tri.iso.maps.items()}, check=False)
     quotient, proj = cokernel(incl)
-    return TorsionPart(tq.rep, incl, quotient, proj)
+    return TorsionPart(tq, incl, quotient, proj)

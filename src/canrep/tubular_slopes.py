@@ -96,16 +96,15 @@ class TubularAlgebra:
         self.quotient_infinity = _kill_vertex(algebra, SINK)
         self._h_zero = _embedded_radical(algebra, self.quotient_zero, SOURCE)
         self._h_infinity = _embedded_radical(algebra, self.quotient_infinity, SINK)
-        self._sign_zero = 1
-        if self.delta_zero(projective_at(algebra, SINK).dims) >= 0:
-            self._sign_zero = -1
-        if self.delta_zero(projective_at(algebra, SINK).dims) >= 0:
+        # the signs make P(sink) negative on the 0-side and I(source) positive on the ∞-side
+        d0 = algebra.euler_form(self._h_zero, projective_at(algebra, SINK).dims)
+        if d0 == 0:
             raise AlgebraError("could not sign-normalize the 0-side defect")
-        self._sign_infinity = 1
-        if self.delta_infinity(injective_at(algebra, SOURCE).dims) <= 0:
-            self._sign_infinity = -1
-        if self.delta_infinity(injective_at(algebra, SOURCE).dims) <= 0:
+        self._sign_zero = -1 if d0 > 0 else 1
+        dinf = algebra.euler_form(self._h_infinity, injective_at(algebra, SOURCE).dims)
+        if dinf == 0:
             raise AlgebraError("could not sign-normalize the ∞-side defect")
+        self._sign_infinity = -1 if dinf < 0 else 1
         self._calibrate()
 
     def delta_zero(self, dims: dict) -> int:

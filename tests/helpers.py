@@ -2,7 +2,7 @@
 
 from canrep.exactla import Matrix, PrimeField, RationalField
 from canrep.quiver_algebra import canonical_algebra
-from canrep.repcat import Representation
+from canrep.repcat import Morphism, Representation, direct_sum
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -85,6 +85,34 @@ def brute_force_hom_dim(m, n):
         dim += 1
     assert F.p ** dim == count, "solution set is not a subspace?"
     return dim
+
+
+# ---------------------------------------------------------------------------
+# textbook references for the block maps of direct sums
+# ---------------------------------------------------------------------------
+
+def _sum_of_composites(source, target, composites):
+    """The sum of morphisms with the shapes of source -> target, rebound to them."""
+    total = Morphism.zero(source, target)
+    for f in composites:
+        total = total + Morphism(source, target, f.maps, check=False)
+    return total
+
+
+def reference_from_sum(source, target, parts):
+    """sum_i f_i o proj_i over the biproduct projections of the sum of the sources."""
+    projs = direct_sum([f.source for f in parts], source.algebra).projections
+    return _sum_of_composites(source, target,
+                              [f.after(proj) for f, proj in zip(parts, projs)])
+
+
+def reference_block_diagonal(source, target, parts):
+    """sum_i inj_i o f_i o proj_i: f_1 (+) ... (+) f_n from the biproduct maps."""
+    alg = source.algebra
+    projs = direct_sum([f.source for f in parts], alg).projections
+    injs = direct_sum([f.target for f in parts], alg).injections
+    return _sum_of_composites(source, target, [inj.after(f).after(proj)
+                                               for inj, f, proj in zip(injs, parts, projs)])
 
 
 # ---------------------------------------------------------------------------

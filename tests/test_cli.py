@@ -197,6 +197,10 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     (_rep_text(arrows='{"x1": 5}'), "rep"),             # a matrix that is not a list of rows
     (_rep_text(algebra='{"field": {"kind": "Fp", "p": 5}, "weights": ["x"]}'), "rep"),
     (_rep_text(dims='{"zz": 1, "c": 1}'), "rep"),      # a dimension at a vertex the algebra lacks
+    (_rep_text(dims='{"0": 1.5, "c": 1}'), "rep"),     # a dimension that is a fraction
+    (_rep_text(dims='{"0": true, "c": 1}'), "rep"),    # a dimension that is a bool
+    (_rep_text(dims='{"0": -1, "c": 1}'), "rep"),      # a negative dimension
+    (_rep_text(algebra='{"field": {"kind": "Fp", "p": 5}, "weights": [true, 2]}'), "rep"),
     ("arm:x", "tube"),                                  # an arm label that is not a number
     ("arm:", "tube"),                                   # an arm label that is missing
     ("arm:1.5", "tube"),                                # an arm label that is not an integer
@@ -208,6 +212,7 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     ("nan", "ratios"),                                  # a float word that is no rational
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
         "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
+        "dim-fraction", "dim-bool", "dim-negative", "weight-bool",
         "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
         "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):

@@ -21,7 +21,8 @@ QT = FunctionField()
 
 
 def mat(field, rows):
-    return Matrix.from_rows(field, [[field.coerce(x) for x in r] for r in rows])
+    return Matrix(field, len(rows), len(rows[0]) if rows else 0,
+                  [[field.coerce(x) for x in r] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,14 @@ def test_rref_f5_hand_example():
     r, piv = m.rref()
     assert r == mat(F5, [[1, 2], [0, 0]])
     assert piv == (0,)
+
+
+def test_public_constructor_stores_canonical_fp_entries():
+    a = Matrix(F5, 2, 2, [[1, 0], [2, 10]])
+    assert a.data == ((1, 0), (2, 0))
+    assert a.rank() == 1
+    assert a.rref() == mat(F5, [[1, 0], [2, 0]]).rref()
+    assert Matrix(F5, 1, 2, [[-1, 7]]).data == ((4, 2),)
 
 
 def test_rank_examples():

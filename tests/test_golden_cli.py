@@ -4,8 +4,10 @@
 ``*.json`` arguments name input files in the same directory; ``<name>.out``
 holds the stdout recorded for it.  The inputs are conjugated direct sums over
 the Kronecker algebra and the weights (2, 2, 2) algebra over F_5, so the
-splitter, the tube partition and the right omega-approximation all draw from
-the seeded rng.  A change that alters a verdict, or the random draws made on
+splitter, the tube partition and the left and right omega-approximations all
+draw from the seeded rng.  The two ``omega_left`` inputs (P(c) (+) P(0) and
+P(0)) reach four and two tower blocks, so the block maps of their universal
+extensions have several parts.  A change that alters a verdict, or the random draws made on
 the way to one, changes these bytes.  When an output is meant to change,
 record it again by running the argv through ``canrep.cli.main``.
 """

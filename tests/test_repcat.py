@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from canrep.errors import AlgebraError
-from canrep.exactla import Matrix
+from canrep.exactla import FunctionField, Matrix
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
+    block_diagonal,
     cokernel,
     coordinates_in_hom_basis,
     decompose,
@@ -15,6 +16,7 @@ from canrep.repcat import (
     end_algebra_structure,
     factor_through_injection,
     factor_through_surjection,
+    from_sum,
     hom_basis,
     hom_dim,
     image,
@@ -26,6 +28,7 @@ from canrep.repcat import (
     linear_combination,
     minimal_projective_presentation,
     projective_at,
+    projective_sum,
     radical,
     simple_at,
     span_coordinates,
@@ -44,6 +47,8 @@ from helpers import (
     kron_jordan,
     kron_point,
     mk_rep,
+    reference_block_diagonal,
+    reference_from_sum,
 )
 
 
@@ -161,6 +166,68 @@ def test_direct_sum_laws():
     # biproduct identities
     for i, (inj, proj) in enumerate(zip(ds.injections, ds.projections)):
         assert proj.after(inj) == Morphism.identity([m, n][i])
+
+
+def test_direct_sum_offsets():
+    alg = kron(F5)
+    parts = [kron_point(alg, 1), zero_representation(alg), projective_at(alg, "0"),
+             simple_at(alg, "c")]
+    ds = direct_sum(parts)
+    assert ds.offsets == [{"0": 0, "c": 0}, {"0": 1, "c": 1}, {"0": 1, "c": 1},
+                          {"0": 2, "c": 3}]
+    assert ds.rep.dims == {"0": 2, "c": 4}
+    assert direct_sum([], alg).offsets == []
+    ps = projective_sum(alg, ["0", "c", "0"])
+    assert ps.offsets == direct_sum([projective_at(alg, v) for v in ("0", "c", "0")]).offsets
+    # injection i is the identity block at rows offsets[i][v], projection i its transpose
+    for i, (inj, proj) in enumerate(zip(ds.injections, ds.projections)):
+        for v in alg.vertices:
+            o, d = ds.offsets[i][v], parts[i].dims[v]
+            assert inj.maps[v] == Matrix.identity(F5, ds.rep.dims[v]).select_columns(
+                range(o, o + d))
+            assert proj.maps[v] == inj.maps[v].transpose()
+
+
+def _random_map(source, target, rng):
+    """A seeded random combination of a Hom(source, target) basis, nonzero when it can be."""
+    F = source.field
+    basis = hom_basis(source, target)
+    while True:
+        f = linear_combination(source, target, basis, [F.random(rng) for _ in basis])
+        if not basis or not f.is_zero():
+            return f
+
+
+def _entries(f):
+    return {v: repr(m) for v, m in f.maps.items()}
+
+
+@pytest.mark.parametrize("field", [F5, QQ, FunctionField()], ids=["F5", "Q", "Q(t)"])
+def test_block_maps_match_the_textbook_sums(field):
+    rng = random.Random(11)
+    alg = kron(field)
+    zero = zero_representation(alg)
+    xs = [projective_at(alg, "0"), zero, kron_point(alg, 2), projective_at(alg, "c"),
+          kron_jordan(alg, 2, 2)]
+    y = conjugate(direct_sum([projective_at(alg, "0"), kron_jordan(alg, 2, 2)]).rep, rng)
+    source = direct_sum(xs).rep
+    parts = [_random_map(x, y, rng) for x in xs]
+    assert not any(f.is_zero() for f in parts[:1] + parts[2:])
+    f = from_sum(source, y, parts)
+    ref = reference_from_sum(source, y, parts)
+    assert f == ref and _entries(f) == _entries(ref)
+
+    ys = [y, projective_at(alg, "0"), zero, kron_jordan(alg, 2, 2), zero]
+    target = direct_sum(ys).rep
+    parts = [_random_map(x, t, rng) for x, t in zip(xs, ys)]
+    g = block_diagonal(source, target, parts)
+    ref = reference_block_diagonal(source, target, parts)
+    assert g == ref and _entries(g) == _entries(ref)
+
+    # empty parts: the zero map out of, and between, zero sums
+    assert from_sum(zero, y, []) == reference_from_sum(zero, y, []) == Morphism.zero(zero, y)
+    assert block_diagonal(zero, zero, []) == reference_block_diagonal(zero, zero, [])
+    assert block_diagonal(zero, zero, []).maps == Morphism.zero(zero, zero).maps
 
 
 def test_kernel_cokernel_basics():
