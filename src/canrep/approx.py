@@ -39,7 +39,6 @@ from .repcat import (
     linear_combination,
     minimal_projective_presentation,
     span_coordinates,
-    zero_representation,
 )
 from .trisection import (
     TrisectLabel,
@@ -148,13 +147,9 @@ def left_omega_approx(m: Representation, params: TruncationParams,
             blocks.append((tube, idx))
             towers.append(uniserial_tower(alg, tube, idx, params.depth, rng))
 
-    if not towers:
-        seq = ShortExactSequence(kept, kept, zero_representation(alg),
-                                 Morphism.identity(kept),
-                                 Morphism.zero(kept, zero_representation(alg)))
-        certs = _left_certificates(seq, mouths)
-        return LeftApproximation(seq, kept, stripped, params, blocks,
-                                 mult_by_tube, certs)
+    if not towers:      # then ue.sequence is 0 -> kept -> kept -> 0
+        return LeftApproximation(ue.sequence, kept, stripped, params, blocks, mult_by_tube,
+                                 _left_certificates(ue.sequence, mouths))
 
     # the universal-extension quotient is the sum of the towers' socles
     t_small = ue.sequence.quotient
@@ -273,14 +268,12 @@ def right_omega_approx(m: Representation, params: TruncationParams,
             "right approximation needs all summands of positive defect",
             {"p_dims": tri.p_part.dims, "t_dims": tri.t_part.dims})
 
+    mouths = mouth_modules(alg, params, rng)
     candidates = []   # (tube, socle, basis index, tower top, morphism)
-    for tube in params.tubes:
-        validate_tube(alg, tube)
-        orbit = regular_simples(alg, tube, rng)
-        for idx in range(len(orbit)):
-            tower = uniserial_tower(alg, tube, idx, params.depth, rng)
-            for bi, f in enumerate(hom_basis(tower.top_module, m)):
-                candidates.append((tube, idx, bi, tower.top_module, f))
+    for tube, idx, _ in mouths:
+        tower = uniserial_tower(alg, tube, idx, params.depth, rng)
+        for bi, f in enumerate(hom_basis(tower.top_module, m)):
+            candidates.append((tube, idx, bi, tower.top_module, f))
 
     def uncovered(subset):
         """The vertices of m, in order, where the maps in subset are not jointly onto."""
@@ -318,18 +311,14 @@ def right_omega_approx(m: Representation, params: TruncationParams,
         k2, k2_incl = kernel(g2)
         final = ShortExactSequence(k2, n_quot, m, k2_incl, g2).verify()
 
-    certs = {"kernel_torsionfree": True, "kernel_labels": []}
-    for tube in params.tubes:
-        for s in regular_simples(alg, tube, rng):
-            if hom_dim(s, final.sub):
-                certs["kernel_torsionfree"] = False
+    torsionfree = not any(hom_dim(s, final.sub) for _, _, s in mouths)
     ktri = split_trisect(final.sub, rng)
-    certs["kernel_labels"] = sorted(
+    certs = {"kernel_torsionfree": torsionfree, "kernel_labels": sorted(
         {lab.value for lab, part in ((TrisectLabel.P, ktri.p_part),
                                      (TrisectLabel.T, ktri.t_part),
                                      (TrisectLabel.Q, ktri.q_part))
-         if not part.is_zero()})
-    if not certs["kernel_torsionfree"]:
+         if not part.is_zero()})}
+    if not torsionfree:
         raise ApproximationError("kernel failed the torsionfree certificate")
     return RightApproximation(final, params,
                               [(t, i, b) for t, i, b, _, _ in kept],

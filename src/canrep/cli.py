@@ -210,7 +210,8 @@ def cmd_peg_growth(args):
     else:
         peg = pegs(alg)[0]
     tube = TubeId.parse(alg.field, args.tube)
-    s = regular_simples(alg, tube, rng)[args.socle]
+    # the mouth orbit[socle] as S[1]; uniserial_tower checks the socle index
+    s = uniserial_tower(alg, tube, args.socle, 1, rng).top_module
     growth = peg_hom_growth(peg, s, args.rmax, rng)
     return {"dims": growth.dims,
             "monomorphism_witness": [w is not None for w in growth.witnesses]}

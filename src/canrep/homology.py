@@ -3,7 +3,9 @@
 Ext^1(N, M) is computed once and for all relative to the minimal projective
 presentation of N as coker(Hom(P0, M) -> Hom(Omega, M)); realizations,
 connecting classes, pushforwards and pullbacks all use that identification,
-so "the class of a sequence" is well-defined across the package.
+so "the class of a sequence" is well-defined across the package.  A class
+with cocycle Omega -> M is realized as the pushout of the presentation
+sequence 0 -> Omega -> P0 -> N -> 0 along its cocycle, by ``pushout`` itself.
 """
 
 from __future__ import annotations
@@ -186,17 +188,10 @@ def lift_through_surjection(source_proj: Representation, p: Morphism,
 
 def realize_from_cocycle(pres: Presentation, m: Representation,
                          cocycle: Morphism) -> ShortExactSequence:
-    """Middle term of the extension with the given cocycle Omega -> M."""
-    n = pres.module
-    ds = direct_sum([m, pres.p0.rep])
-    glue = ds.injections[0].after(cocycle) - ds.injections[1].after(pres.omega_incl)
-    middle, quot = cokernel(glue)
-    incl = quot.after(ds.injections[0])
-    onto_n = pres.cover.after(ds.projections[1])
-    proj = factor_through_surjection(quot, onto_n)
-    if proj is None:
-        raise AlgebraError("extension projection failed (internal error)")
-    return ShortExactSequence(m, middle, n, incl, proj).verify()
+    """The extension 0 -> m -> X -> N -> 0 with the given cocycle Omega -> m: the
+    pushout of the presentation sequence 0 -> Omega -> P0 -> N -> 0 along it."""
+    return pushout(cocycle, ShortExactSequence(pres.omega, pres.p0.rep, pres.module,
+                                               pres.omega_incl, pres.cover))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,7 @@ def realize_from_cocycle(pres: Presentation, m: Representation,
 # ---------------------------------------------------------------------------
 
 def pushout(f: Morphism, ses: ShortExactSequence) -> ShortExactSequence:
-    """Induced sequence along f: sub -> M'; also returns nothing else (verified)."""
+    """Induced sequence 0 -> M' -> E' -> quotient -> 0 along f: sub -> M' (verified)."""
     if f.source.dims != ses.sub.dims:
         raise DimensionMismatch("pushout map must start at the subobject")
     ds = direct_sum([f.target, ses.middle])

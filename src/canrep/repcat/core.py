@@ -15,6 +15,14 @@ vertex) and ``block_diagonal`` (f_1 (+) ... (+) f_n), never as a sum of
 injection-map-projection composites.  How a sum lays out its summands is
 decided once, in ``direct_sum`` (``DirectSum.offsets``).
 
+Sub-representations and basis completions are built in one place each.
+``_subrep`` turns per-vertex column bases into a sub-representation and its
+inclusion (one solve per arrow, with the arrow-stability check); ``kernel``,
+``image`` and ``radical`` differ only in the bases they pass.
+``_unit_complement`` completes a column basis with unit vectors (one rref of
+[B | I]), for the quotient basis of ``cokernel`` and the generators of
+``projective_cover``.
+
 ``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
 algebra and keep it in ``algebra.module_cache``; every later call returns the
 same object.  Cached modules are shared values: no caller may change them.
@@ -216,30 +224,23 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
         pos += n.dims[v] * m.dims[v]
     total = pos
     rows = []
-    zero = F.zero
+    zero, neg = F.zero, F.neg
+    # The quiver is acyclic, so no arrow is a loop: each cell of a row is written once.
     for a in alg.arrows:
-        s, t = a.source, a.target
-        ma, na = m.arrows[a.label], n.arrows[a.label]
-        et, ds = n.dims[t], m.dims[s]
-        for i in range(et):
+        ma, na = m.arrows[a.label].data, n.arrows[a.label].data
+        base_t, dt = offsets[a.target], m.dims[a.target]
+        base_s, ds = offsets[a.source], m.dims[a.source]
+        for i in range(n.dims[a.target]):
             for j in range(ds):
                 row = [zero] * total
                 # (f_t * ma)[i, j]
-                base_t = offsets[t]
-                dt_cols = m.dims[t]
-                for k in range(dt_cols):
-                    c = ma.data[k][j]
-                    if c != zero:
-                        row[base_t + i * dt_cols + k] = F.add(
-                            row[base_t + i * dt_cols + k], c)
+                for k in range(dt):
+                    if ma[k][j] != zero:
+                        row[base_t + i * dt + k] = ma[k][j]
                 # -(na * f_s)[i, j]
-                base_s = offsets[s]
-                ds_cols = m.dims[s]
-                for k in range(n.dims[s]):
-                    c = na.data[i][k]
-                    if c != zero:
-                        idx = base_s + k * ds_cols + j
-                        row[idx] = F.sub(row[idx], c)
+                for k in range(n.dims[a.source]):
+                    if na[i][k] != zero:
+                        row[base_s + k * ds + j] = neg(na[i][k])
                 rows.append(row)
     if not rows:
         system = Matrix.zeros(F, 0, total)
@@ -370,41 +371,42 @@ def sum_onto(m: Representation, parts: list[Morphism]):
 # kernels, cokernels, images
 # ---------------------------------------------------------------------------
 
-def kernel(f: Morphism):
-    """(sub-representation, inclusion) of ker f."""
-    alg, F = f.source.algebra, f.source.field
-    bases = {v: f.maps[v].kernel_basis() for v in alg.vertices}
-    dims = {v: bases[v].cols for v in alg.vertices}
+def _subrep(m: Representation, bases: dict, what: str):
+    """(sub-representation, inclusion) of m spanned by the columns of bases[v]
+    at each vertex v; what names the caller in the arrow-stability check."""
+    alg = m.algebra
     arrows = {}
     for a in alg.arrows:
-        image = f.source.arrows[a.label] * bases[a.source]
-        sol = bases[a.target].solve(image)
+        sol = bases[a.target].solve(m.arrows[a.label] * bases[a.source])
         if sol is None:
-            raise AlgebraError("kernel is not arrow-stable (internal error)")
+            raise AlgebraError(f"{what} is not arrow-stable (internal error)")
         arrows[a.label] = sol
-    ker = Representation(alg, dims, arrows, check=False)
-    incl = Morphism(ker, f.source, {v: bases[v] for v in alg.vertices}, check=False)
-    return ker, incl
+    sub = Representation(alg, {v: bases[v].cols for v in alg.vertices}, arrows, check=False)
+    return sub, Morphism(sub, m, bases, check=False)
+
+
+def _unit_complement(basis: Matrix) -> list[int]:
+    """The indices i, ascending, of the unit vectors e_i that complete the
+    independent columns of basis to a basis of the whole space."""
+    _, pivots = basis.hstack(Matrix.identity(basis.field, basis.rows)).rref()
+    return [j - basis.cols for j in pivots if j >= basis.cols]
+
+
+def kernel(f: Morphism):
+    """(sub-representation, inclusion) of ker f."""
+    return _subrep(f.source, {v: f.maps[v].kernel_basis() for v in f.source.algebra.vertices},
+                   "kernel")
 
 
 def image(f: Morphism):
     """(sub-representation of target, inclusion, epi from source)."""
-    alg, F = f.source.algebra, f.source.field
+    alg = f.source.algebra
     bases = {v: f.maps[v].column_space_basis() for v in alg.vertices}
-    dims = {v: bases[v].cols for v in alg.vertices}
-    arrows = {}
-    for a in alg.arrows:
-        sol = bases[a.target].solve(f.target.arrows[a.label] * bases[a.source])
-        if sol is None:
-            raise AlgebraError("image is not arrow-stable (internal error)")
-        arrows[a.label] = sol
-    img = Representation(alg, dims, arrows, check=False)
-    incl = Morphism(img, f.target, bases, check=False)
+    img, incl = _subrep(f.target, bases, "image")
     epis = {v: bases[v].solve(f.maps[v]) for v in alg.vertices}
     if any(e is None for e in epis.values()):
         raise AlgebraError("image factorization failed (internal error)")
-    epi = Morphism(f.source, img, epis, check=False)
-    return img, incl, epi
+    return img, incl, Morphism(f.source, img, epis, check=False)
 
 
 def cokernel(f: Morphism):
@@ -414,14 +416,10 @@ def cokernel(f: Morphism):
     for v in alg.vertices:
         col = f.maps[v].column_space_basis()
         n = f.target.dims[v]
-        aug = col.hstack(Matrix.identity(F, n))
-        _, pivots = aug.rref()
-        comp_cols = [j - col.cols for j in pivots if j >= col.cols]
-        basis = col
+        comp_cols = _unit_complement(col)
         comp = Matrix(F, n, len(comp_cols),
                       [[F.one if i == j else F.zero for j in comp_cols] for i in range(n)])
-        full = basis.hstack(comp)
-        inv = full.inverse()
+        inv = col.hstack(comp).inverse()
         if inv is None:
             raise AlgebraError("cokernel basis completion failed (internal error)")
         projs[v] = inv.submatrix(range(col.cols, n), range(n))
@@ -542,15 +540,7 @@ def radical(m: Representation):
         if stacked is None:
             stacked = Matrix.zeros(F, m.dims[v], 0)
         bases[v] = stacked.column_space_basis()
-    dims = {v: bases[v].cols for v in alg.vertices}
-    arrows = {}
-    for a in alg.arrows:
-        sol = bases[a.target].solve(m.arrows[a.label] * bases[a.source])
-        if sol is None:
-            raise AlgebraError("radical is not arrow-stable (internal error)")
-        arrows[a.label] = sol
-    rad = Representation(alg, dims, arrows, check=False)
-    return rad, Morphism(rad, m, bases, check=False)
+    return _subrep(m, bases, "radical")
 
 
 def top(m: Representation):
@@ -608,20 +598,15 @@ def morphism_from_projective_sum(ps: ProjSum, target: Representation,
 def projective_cover(m: Representation):
     """(ProjSum P0, cover morphism P0 -> m); kernel lies in rad P0."""
     alg, F = m.algebra, m.field
-    rad, incl = radical(m)
+    _, incl = radical(m)
     verts, gens = [], []
     for v in alg.vertices:
         n = m.dims[v]
-        if n == 0:
+        if n == 0:      # no generators here; skipping spares an rref of an empty matrix
             continue
-        aug = incl.maps[v].hstack(Matrix.identity(F, n))
-        _, pivots = aug.rref()
-        for j in pivots:
-            if j >= incl.maps[v].cols:
-                idx = j - incl.maps[v].cols
-                col = [F.one if i == idx else F.zero for i in range(n)]
-                verts.append(v)
-                gens.append(Matrix.column(F, col))
+        for idx in _unit_complement(incl.maps[v]):
+            verts.append(v)
+            gens.append(Matrix.column(F, [F.one if i == idx else F.zero for i in range(n)]))
     ps = projective_sum(alg, verts)
     cover = morphism_from_projective_sum(ps, m, gens)
     if not cover.is_surjective():

@@ -309,11 +309,7 @@ def _mouth_orbit(alg: CanonicalAlgebra, tube: TubeId, rng) -> list[Representatio
     cur = orbit[0]
     while remaining:
         nxt = tau_inverse(cur)
-        match = None
-        for c in remaining:
-            if c.dims == nxt.dims and is_isomorphic(c, nxt, rng) is not None:
-                match = c
-                break
+        match = next((c for c in remaining if is_isomorphic(c, nxt, rng) is not None), None)
         if match is None:
             raise TubeError("tau walk left the candidate mouth set")
         orbit.append(match)

@@ -116,6 +116,19 @@ def test_peg_growth_command(files, capsys):
     assert all(data["monomorphism_witness"])
 
 
+@pytest.mark.parametrize("command", ["peg-growth", "sbracket"])
+@pytest.mark.parametrize("socle", ["3", "-1"])
+def test_socle_index_out_of_range_is_a_domain_error(files, capsys, command, socle):
+    # a Kronecker point tube has one mouth, so only --socle 0 is valid
+    extra = ["--rmax", "2"] if command == "peg-growth" else ["--rlen", "2"]
+    code, out = run(capsys, [command, "--algebra", files["alg"], "--tube", "pt:t",
+                             "--socle", socle, *extra])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain"
+    assert error["message"] == "socle index out of range 0..0"
+
+
 def test_exit_codes(files, capsys):
     code, out = run(capsys, ["classify", "--rep", str(files["tmp"] / "nope.json")])
     assert code == 2

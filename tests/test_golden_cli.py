@@ -2,14 +2,22 @@
 
 ``tests/data/golden/calls.json`` maps a fixture name to a CLI argv whose
 ``*.json`` arguments name input files in the same directory; ``<name>.out``
-holds the stdout recorded for it.  The inputs are conjugated direct sums over
-the Kronecker algebra and the weights (2, 2, 2) algebra over F_5, so the
-splitter, the tube partition and the left and right omega-approximations all
-draw from the seeded rng.  The two ``omega_left`` inputs (P(c) (+) P(0) and
-P(0)) reach four and two tower blocks, so the block maps of their universal
-extensions have several parts.  A change that alters a verdict, or the random draws made on
-the way to one, changes these bytes.  When an output is meant to change,
-record it again by running the argv through ``canrep.cli.main``.
+holds the stdout recorded for it.  Inputs named ``*_p`` or without a suffix
+are over F_5 and those named ``*_q`` over Q (``kron_q.json`` and
+``w222_q.json`` are F_5 modules of positive defect); ``*.alg.json`` files hold
+algebra specs.  Every input module was drawn with a fixed ``random.Random``
+seed and conjugated by ``tests/helpers.conjugate``, so the splitter, the tube
+partition and the omega-approximations draw from the seeded rng, and the
+kernels, cokernels and basis completions meet non-unit bases.  The calls
+cover ``decompose``, ``split-trisect``, ``partition-tubes``, ``omega-left``
+and ``omega-right``; ``ext`` (Kronecker over F_5, (2, 2, 2) over Q); ``tau``
+and ``tau --inverse`` on mixes with a projective summand; and ``sbracket`` on
+an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q.  The
+``omega_left`` inputs P(c) (+) P(0) and P(0) reach several tower blocks, so
+the block maps of their universal extensions have several parts.  A change
+that alters a verdict, or the random draws made on the way to one, changes
+these bytes.  When an output is meant to change, record it again by running
+the argv through ``canrep.cli.main``.
 """
 
 import json

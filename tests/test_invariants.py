@@ -1,10 +1,11 @@
 """Cross-module invariants on seeded random samples."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from canrep.exactla import Matrix
-from canrep.homology import ext1_dim, ext2_dim, tau
+from canrep.homology import ExtSpace, ext1_dim, ext2_dim, tau
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     cokernel,
@@ -16,8 +17,12 @@ from canrep.repcat import (
     image,
     injective_at,
     kernel,
+    linear_combination,
     projective_at,
+    projective_cover,
+    radical,
     simple_at,
+    top,
 )
 from canrep.trisection import TubeId, regular_simples, split_trisect, uniserial_tower
 from canrep.tubular_slopes import TubularAlgebra
@@ -42,6 +47,61 @@ def random_rep(alg, rng, max_dim=2):
             return Representation(alg, dims, arrows)
         except Exception:
             continue
+
+
+def conjugated_samples(seed, per_algebra=3):
+    """[(algebra, [reps])]: seeded sums of two random representations, each sum
+    conjugated by a random basis change, on the Kronecker and (2, 2, 2)
+    algebras over F_3, F_5 and Q."""
+    rng = random.Random(seed)
+    out = []
+    for field in (F3, F5, QQ):
+        for alg in (kron(field), canonical_algebra(field, [2, 2, 2], [2])):
+            max_dim = 1 if alg.weights else 2
+            out.append((alg, [conjugate(direct_sum([random_rep(alg, rng, max_dim),
+                                                    random_rep(alg, rng, max_dim)]).rep, rng)
+                              for _ in range(per_algebra)]))
+    return out
+
+
+def test_image_factors_the_map_through_an_epi():
+    rng = random.Random(11)
+    for alg, reps in conjugated_samples(11):
+        for m, n in zip(reps, reps[1:] + reps[:1]):
+            basis = hom_basis(m, n)
+            f = linear_combination(m, n, basis, [alg.field.random(rng) for _ in basis])
+            _, incl, epi = image(f)
+            assert incl.after(epi) == f
+            assert epi.is_surjective() and incl.is_injective()
+
+
+def test_top_has_zero_arrows():
+    for _, reps in conjugated_samples(12):
+        for m in reps:
+            rad, _ = radical(m)
+            t, proj = top(m)
+            assert all(mat.is_zero() for mat in t.arrows.values())
+            assert proj.is_surjective()
+            assert t.total_dim == m.total_dim - rad.total_dim
+
+
+def test_projective_cover_is_onto_with_kernel_in_the_radical():
+    for _, reps in conjugated_samples(13):
+        for m in reps:
+            p0, cover = projective_cover(m)
+            assert cover.is_surjective()
+            _, ker_incl = kernel(cover)
+            _, rad_incl = radical(p0.rep)
+            assert factor_through_injection(rad_incl, ker_incl) is not None
+
+
+def test_realized_classes_round_trip():
+    # class_of_sequence(realize(c)) = c on every Ext^1 basis class
+    for _, reps in conjugated_samples(14, 2):
+        for n, m in itertools.product(reps, repeat=2):
+            space = ExtSpace(n, m)
+            for cls in space.basis():
+                assert space.class_of_sequence(cls.realize()).coords == cls.coords
 
 
 def test_hom_proj_dim_formula():
