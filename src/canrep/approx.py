@@ -67,10 +67,18 @@ class TruncationParams:
 
 
 def mouth_modules(alg: CanonicalAlgebra, params: TruncationParams, rng=None):
-    """[(tube, socle index, mouth rep)] across the chosen tubes."""
-    out = []
+    """[(tube, socle index, mouth rep)] across the chosen tubes, each tube once.
+
+    A tube named again is skipped: its mouths would repeat, and the universal
+    extension lists isomorphic simples only once.
+    """
+    out, seen = [], set()
     for tube in params.tubes:
         validate_tube(alg, tube)
+        key = _tube_key(tube)
+        if key in seen:
+            continue
+        seen.add(key)
         for idx, s in enumerate(regular_simples(alg, tube, rng)):
             out.append((tube, idx, s))
     return out

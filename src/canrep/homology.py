@@ -254,12 +254,9 @@ def _sum_presentation(parts: list[Presentation], algebra) -> Presentation:
     module = direct_sum([p.module for p in parts], algebra).rep
     omega = direct_sum([p.omega for p in parts], algebra).rep
     p0 = projective_sum(algebra, [v for p in parts for v in p.p0.summand_vertices])
-    p1 = projective_sum(algebra, [v for p in parts for v in p.p1.summand_vertices])
     cover = block_diagonal(p0.rep, module, [p.cover for p in parts])
     omega_incl = block_diagonal(omega, p0.rep, [p.omega_incl for p in parts])
-    p1_cover = block_diagonal(p1.rep, omega, [p.p1_cover for p in parts])
-    d = omega_incl.after(p1_cover)
-    return Presentation(module, p0, cover, omega, omega_incl, p1, p1_cover, d)
+    return Presentation(module, p0, cover, omega, omega_incl)
 
 
 def universal_extension(m: Representation, simples: list) -> UniversalExtension:

@@ -26,6 +26,12 @@ inclusion (one solve per arrow, with the arrow-stability check); ``kernel``,
 ``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
 algebra and keep it in ``algebra.module_cache``; every later call returns the
 same object.  Cached modules are shared values: no caller may change them.
+
+``minimal_projective_presentation`` builds each module's presentation once
+and keeps it on the module, for as long as the module's dims and arrow
+matrices stay the ones it was built from.  Its P1 is built on first read, so
+only callers that need the second step of the resolution (the transpose) pay
+for it.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ from ..quiver_algebra import QuiverAlgebra
 
 class Representation:
     """Per-vertex dimensions plus one matrix per arrow (target x source)."""
+
+    # (dims, arrow matrices, Presentation), kept by minimal_projective_presentation
+    _presentation = None
 
     def __init__(self, algebra: QuiverAlgebra, dims: dict, arrow_matrices: dict,
                  check: bool = True):
@@ -616,27 +625,59 @@ def projective_cover(m: Representation):
 
 @dataclass
 class Presentation:
-    """Minimal projective presentation P1 -> P0 -> m -> 0 with its syzygy."""
+    """Minimal projective presentation P1 -> P0 -> m -> 0 with its syzygy.
+
+    ``minimal_projective_presentation`` builds one per module and keeps it on
+    the module.  P1 is built on first read: ``p1``, ``p1_cover`` and ``d``
+    come from one ``projective_cover(omega)``, which only the transpose needs.
+    """
 
     module: Representation
     p0: ProjSum
     cover: Morphism          # p0.rep -> module
     omega: Representation    # kernel of the cover
     omega_incl: Morphism     # omega -> p0.rep
-    p1: ProjSum
-    p1_cover: Morphism       # p1.rep -> omega
-    d: Morphism              # p1.rep -> p0.rep
+
+    @cached_property
+    def _omega_cover(self):
+        return projective_cover(self.omega)
+
+    @cached_property
+    def p1(self) -> ProjSum:
+        return self._omega_cover[0]
+
+    @cached_property
+    def p1_cover(self) -> Morphism:      # p1.rep -> omega
+        return self._omega_cover[1]
+
+    @cached_property
+    def d(self) -> Morphism:             # p1.rep -> p0.rep
+        return self.omega_incl.after(self.p1_cover)
 
 
 def minimal_projective_presentation(m: Representation) -> Presentation:
+    """The presentation of m, built on the first call and kept on m.
+
+    Later calls return the kept object while m's dims and arrow matrices are
+    the ones it was built from; matrices are immutable, so that is a check by
+    identity.  Any change to m makes the next call build afresh.
+    """
+    kept = m._presentation
+    if (kept is not None and kept[0] == m.dims
+            and all(a is b for a, b in zip(kept[1], m.arrows.values()))):
+        return kept[2]
+    pres = _build_presentation(m)
+    m._presentation = (dict(m.dims), tuple(m.arrows.values()), pres)
+    return pres
+
+
+def _build_presentation(m: Representation) -> Presentation:
     p0, cover = projective_cover(m)
     omega, omega_incl = kernel(cover)
-    p1, p1_cover = projective_cover(omega)
-    d = omega_incl.after(p1_cover)
     # minimality certificate: the syzygy sits inside rad P0
-    rad0, rad_incl = radical(p0.rep)
+    _, rad_incl = radical(p0.rep)
     for v in m.algebra.vertices:
         stack = rad_incl.maps[v].hstack(omega_incl.maps[v])
         if stack.rank() != rad_incl.maps[v].rank():
             raise AlgebraError("projective cover not minimal (internal error)")
-    return Presentation(m, p0, cover, omega, omega_incl, p1, p1_cover, d)
+    return Presentation(m, p0, cover, omega, omega_incl)

@@ -1,8 +1,10 @@
 """Shared construction helpers for the test suite."""
 
+from types import SimpleNamespace
+
 from canrep.exactla import Matrix, PrimeField, RationalField
 from canrep.quiver_algebra import canonical_algebra
-from canrep.repcat import Morphism, Representation, direct_sum
+from canrep.repcat import Morphism, Representation, direct_sum, kernel, projective_cover, radical
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -113,6 +115,19 @@ def reference_block_diagonal(source, target, parts):
     injs = direct_sum([f.target for f in parts], alg).injections
     return _sum_of_composites(source, target, [inj.after(f).after(proj)
                                                for inj, f, proj in zip(injs, parts, projs)])
+
+
+def reference_presentation(m):
+    """P1 -> P0 -> m -> 0 built eagerly on every call: the cover of m, its kernel,
+    the cover of that kernel and their composite d, with the minimality check."""
+    p0, cover = projective_cover(m)
+    omega, omega_incl = kernel(cover)
+    p1, p1_cover = projective_cover(omega)
+    _, rad_incl = radical(p0.rep)
+    for v in m.algebra.vertices:
+        assert rad_incl.maps[v].hstack(omega_incl.maps[v]).rank() == rad_incl.maps[v].rank()
+    return SimpleNamespace(module=m, p0=p0, cover=cover, omega=omega, omega_incl=omega_incl,
+                           p1=p1, p1_cover=p1_cover, d=omega_incl.after(p1_cover))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from canrep.approx import (
     factor_through_left_approx,
     kronecker_generic,
     left_omega_approx,
+    mouth_modules,
     peg_hom_growth,
     prufer_chain,
     right_omega_approx,
@@ -110,6 +111,23 @@ def test_left_approx_multiple_tubes():
     ap = left_omega_approx(pc, params)
     assert ap.middle.dims == {"0": 2, "c": 3}
     assert is_indecomposable(ap.middle)
+
+
+def test_a_tube_named_twice_counts_once():
+    alg = kron(F5)
+    once = TruncationParams((pt((0, 1)), pt((1, 1))), 2)
+    twice = TruncationParams((pt((0, 1)), pt((0, 1)), pt((1, 1))), 2)
+    assert [(t, i) for t, i, _ in mouth_modules(alg, twice)] == \
+        [(t, i) for t, i, _ in mouth_modules(alg, once)]
+    pc0 = direct_sum([projective_at(alg, "c"), projective_at(alg, "0")]).rep
+    left = [left_omega_approx(pc0, p, random.Random(1)) for p in (once, twice)]
+    assert left[0].multiplicities == left[1].multiplicities
+    assert left[0].blocks == left[1].blocks
+    assert left[0].middle.dims == left[1].middle.dims
+    ic = injective_at(alg, "c")
+    right = [right_omega_approx(ic, p, random.Random(1)) for p in (once, twice)]
+    assert right[0].cover_blocks == right[1].cover_blocks
+    assert right[0].sequence.middle.dims == right[1].sequence.middle.dims
 
 
 def test_factorization_shadow():

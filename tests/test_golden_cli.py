@@ -14,7 +14,12 @@ and ``omega-right``; ``ext`` (Kronecker over F_5, (2, 2, 2) over Q); ``tau``
 and ``tau --inverse`` on mixes with a projective summand; and ``sbracket`` on
 an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q.  The
 ``omega_left`` inputs P(c) (+) P(0) and P(0) reach several tower blocks, so
-the block maps of their universal extensions have several parts.  A change
+the block maps of their universal extensions have several parts.
+``kron_omega_left_repeated_tube`` names the tube ``pt:t`` twice; its
+``.out`` is the stdout of the same call with ``--tubes pt:t,pt:t+1``,
+recorded before a repeated tube was skipped (the repeated argv then failed
+with "projective lifting failed"), so it pins that naming a tube again
+changes nothing.  A change
 that alters a verdict, or the random draws made on the way to one, changes
 these bytes.  When an output is meant to change, record it again by running
 the argv through ``canrep.cli.main``.

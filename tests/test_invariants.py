@@ -18,6 +18,7 @@ from canrep.repcat import (
     injective_at,
     kernel,
     linear_combination,
+    minimal_projective_presentation,
     projective_at,
     projective_cover,
     radical,
@@ -27,7 +28,7 @@ from canrep.repcat import (
 from canrep.trisection import TubeId, regular_simples, split_trisect, uniserial_tower
 from canrep.tubular_slopes import TubularAlgebra
 
-from helpers import F3, F5, QQ, conjugate, kron, kron_point
+from helpers import F3, F5, QQ, conjugate, kron, kron_point, reference_presentation
 
 
 def random_rep(alg, rng, max_dim=2):
@@ -93,6 +94,19 @@ def test_projective_cover_is_onto_with_kernel_in_the_radical():
             _, ker_incl = kernel(cover)
             _, rad_incl = radical(p0.rep)
             assert factor_through_injection(rad_incl, ker_incl) is not None
+
+
+def test_kept_presentation_matches_the_eager_construction():
+    # the kept presentation, P1 built on first read, against a fresh eager build
+    for _, reps in conjugated_samples(15):
+        for m in reps:
+            pres = minimal_projective_presentation(m)
+            ref = reference_presentation(m)
+            assert pres.p0.summand_vertices == ref.p0.summand_vertices
+            assert pres.p1.summand_vertices == ref.p1.summand_vertices
+            assert pres.omega.dims == ref.omega.dims
+            for name in ("cover", "omega_incl", "p1_cover", "d"):
+                assert getattr(pres, name) == getattr(ref, name), name
 
 
 def test_realized_classes_round_trip():

@@ -5,6 +5,8 @@ import pytest
 
 from canrep.errors import AlgebraError
 from canrep.exactla import FunctionField, Matrix
+from canrep.homology import ext1_dim
+from canrep.repcat import core
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
@@ -306,6 +308,47 @@ def test_presentation_of_simple_injective():
     assert pres.p0.summand_vertices == ["0"]
     assert pres.p1.summand_vertices == ["c", "c"]
     assert pres.omega.dims == {"0": 0, "c": 2}
+
+
+def test_presentation_is_kept_on_the_module():
+    m = kron_point(kron(F5), 2)
+    pres = minimal_projective_presentation(m)
+    assert minimal_projective_presentation(m) is pres
+
+
+def test_presentation_is_rebuilt_after_an_arrow_changes():
+    alg = kron(F5)
+    m = kron_point(alg, 2)
+    old = minimal_projective_presentation(m)
+    m.arrows["x2"] = Matrix(F5, 1, 1, [[F5.coerce(3)]])
+    fresh = minimal_projective_presentation(m)
+    assert fresh is not old and fresh.module is m
+    fresh.cover.verify()
+    with pytest.raises(AlgebraError):
+        old.cover.verify()
+    assert minimal_projective_presentation(m) is fresh
+
+
+def test_ext1_builds_one_cover_and_p1_on_first_read(monkeypatch):
+    alg = kron(F5)
+    s, m = kron_point(alg, 2), kron_jordan(alg, 2, 2)
+    built = []
+    real = core.projective_cover
+
+    def counting(rep):
+        built.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(core, "projective_cover", counting)
+    assert ext1_dim(s, m) == 1
+    assert ext1_dim(s, m) == 1
+    assert built == [s]
+    pres = minimal_projective_presentation(s)
+    assert pres.p1.summand_vertices == ["c"]
+    assert len(built) == 2 and built[1] is pres.omega
+    assert pres.p1.summand_vertices == ["c"]
+    assert pres.d.source is pres.p1.rep and pres.p1_cover.target is pres.omega
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
