@@ -319,28 +319,33 @@ class Matrix:
     # -- polynomial / spectral helpers ----------------------------------------
 
     def power(self, n: int):
+        """self^n by repeated squaring, starting from the first factor."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of non-square matrix")
-        out = Matrix.identity(self.field, self.rows)
-        base = self
+        out, base = None, self
         while n > 0:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return Matrix.identity(self.field, self.rows) if out is None else out
 
     def eval_poly(self, coeffs):
-        """coeffs ascending; returns sum coeffs[i] * self^i."""
+        """coeffs ascending; returns sum coeffs[i] * self^i (Horner, each
+        coefficient added on the diagonal)."""
         if self.rows != self.cols:
             raise DimensionMismatch("polynomial of non-square matrix")
         F = self.field
+        zero, add = F.zero, F.add
         out = Matrix.zeros(F, self.rows, self.cols)
         for c in reversed(coeffs):
             out = out * self
-            if c != F.zero:
-                out = out + Matrix.identity(F, self.rows).scale(c)
+            if c != zero:
+                data = [list(r) for r in out.data]
+                for i, row in enumerate(data):
+                    row[i] = add(row[i], c)
+                out = Matrix._make(F, self.rows, self.cols, data)
         return out
 
 

@@ -1,32 +1,40 @@
 """Indecomposable decomposition, isomorphism testing, and brick detection.
 
-The splitter (``_split_leaves``) computes a basis of End(m).  Over F_p, when
-the basis commutes, it first counts the blocks of End(m) exactly: x -> x^p - x
-is F_p-linear on a commutative F_p-algebra and its kernel is spanned by the
-primitive idempotents (Berlekamp's count, ``_frobenius_blocks``).  One block
-means m is indecomposable, and the splitter stops there without a minimal
-polynomial or a factorization.
+The splitter (``_split_leaves``) computes a basis of End(m) and walks it once,
+in order, taking each element's minimal polynomial (``exactla``'s one
+incremental routine, on the vertex maps together) and factoring it: over F_p
+with ``exactla``'s Berlekamp factorizer, over Q and k(t) through sympy,
+imported on first use.
 
-Otherwise it tries the elements of End(m) in a fixed order: the basis itself,
-then seeded random combinations.  For each candidate it takes the minimal
-polynomial (``exactla``'s one incremental routine, on the vertex maps
-together) and factors it: over F_p with ``exactla``'s Berlekamp factorizer,
-over Q and k(t) through sympy, imported on first use.  If the polynomial has
-two or more distinct monic factors, m splits into the kernels of their
-powers, and the splitter recurses into each piece.  Factorizations are kept
-in a dict for one top-level ``indecomposable_summands`` call, since the same
-few polynomials recur across trials and pieces.
+- If the polynomial has two or more distinct monic factors, m splits into the
+  kernels of their powers (each raised to its multiplicity), and the splitter
+  recurses into each piece.
+- If its degree is dim End, the element generates End(m): End(m) = F[phi] is
+  F[x]/(mu), which is local exactly when mu is a power of one irreducible.  So
+  m is certified indecomposable, over every field.
+
+Only when no basis element splits or generates does the splitter go further.
+Over F_p, when the basis commutes, it counts the blocks of End(m) exactly:
+x -> x^p - x is F_p-linear on a commutative F_p-algebra and its kernel is
+spanned by the primitive idempotents (Berlekamp's count,
+``_frobenius_blocks``).  One block means m is indecomposable.  Otherwise it
+tries seeded random combinations of the basis the same way.  Factorizations
+are kept in a dict for one top-level ``indecomposable_summands`` call, since
+the same few polynomials recur across elements and pieces.
 
 Which "local" verdicts are exact:
 
 - dim End = 1;
+- End generated by one basis element, over every field;
 - commutative End over F_p (the block count, whichever way m then splits);
 - non-commutative End over F_2 or F_3 with dim End <= 6, where an exhaustive
   search finds no nontrivial idempotent.
 
-Over Q and k(t), and for larger non-commutative End over F_p, the verdict
-rests on the random trials (probabilistic, not a proof).  ``is_brick`` is
-exact over F_p and samples probes over Q and k(t).
+For an End that no basis element generates, over Q and k(t), and for larger
+non-commutative End over F_p, the verdict rests on the 64 seeded random
+trials (probabilistic, not a proof).  ``is_brick`` walks the same basis and
+is exact over F_p, and over Q and k(t) once a basis element generates End(m)
+or has a reducible minimal polynomial; otherwise it samples probes.
 
 A certified verdict makes the random draws the trials would have made, so
 later draws, and seeded output, do not depend on which way a verdict came.
@@ -165,7 +173,10 @@ def is_irreducible_poly(field, coeffs) -> bool:
     coeffs = poly_trim(field, coeffs)
     if len(coeffs) <= 1:
         return False
-    factors = factor_poly(field, coeffs)
+    return _irreducible(factor_poly(field, coeffs))
+
+
+def _irreducible(factors) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -183,11 +194,12 @@ class Decomposition:
     iso_inverse: Morphism
 
 
-def _primary_split(m: Representation, phi: Morphism, factorizations):
-    """Split m along the primary decomposition of phi, or None.
+def _factored(m: Representation, phi: Morphism, factorizations):
+    """(minimal polynomial of phi, its [(monic factor, multiplicity)]).
 
-    ``factorizations`` maps a minimal polynomial to its factors (None when it
-    cannot be factored) and is filled as polynomials are met.
+    The factors are None when the polynomial cannot be factored.
+    ``factorizations`` maps a minimal polynomial to its factors and is filled
+    as polynomials are met.
     """
     minpoly = endo_minimal_polynomial(phi)
     if minpoly not in factorizations:
@@ -195,24 +207,39 @@ def _primary_split(m: Representation, phi: Morphism, factorizations):
             factorizations[minpoly] = factor_poly(m.field, minpoly)
         except DecompositionError:
             factorizations[minpoly] = None
-    factors = factorizations[minpoly]
+    return minpoly, factorizations[minpoly]
+
+
+def _primary_split(m: Representation, phi: Morphism, factors):
+    """Split m along the primary decomposition of phi, or None.
+
+    ``factors`` are those of phi's minimal polynomial; the piece of a factor
+    is the kernel of fac(phi)^mult, mult its multiplicity.
+    """
     if factors is None or len(factors) < 2:
         return None
-    n = m.total_dim
     pieces = []
-    for fac, _ in factors:
-        g = Morphism(m, m, {v: a.eval_poly(fac).power(n) for v, a in phi.maps.items()},
+    for fac, mult in factors:
+        g = Morphism(m, m, {v: a.eval_poly(fac).power(mult) for v, a in phi.maps.items()},
                      check=False)
         pieces.append(kernel(g))
-    if sum(p.total_dim for p, _ in pieces) != n:
+    if sum(p.total_dim for p, _ in pieces) != m.total_dim:
         raise DecompositionError("primary decomposition does not fill the module")
     return pieces
 
 
+def _basis_walk(m: Representation, basis, factorizations):
+    """Each element of ``basis``, a basis of End(m), in order, as (phi, factors,
+    generates): the factors of phi's minimal polynomial (see ``_factored``), and
+    whether its degree is dim End, so that End(m) = F[phi]."""
+    for phi in basis:
+        minpoly, factors = _factored(m, phi, factorizations)
+        yield phi, factors, len(minpoly) - 1 == len(basis)
+
+
 def _candidates(basis, rng, trials):
-    """The basis, then up to ``trials`` nonzero seeded random combinations of it."""
+    """Up to ``trials`` nonzero seeded random combinations of the basis."""
     src, tgt = basis[0].source, basis[0].target
-    yield from basis
     for _ in range(trials):
         f = linear_combination(src, tgt, basis, [src.field.random(rng) for _ in basis])
         if not f.is_zero():
@@ -226,9 +253,10 @@ def _grid_values(field, bound):
 
 
 def _search(basis, rng, accept, grid_bound):
-    """The first candidate, then (for at most 3 basis elements) the first
-    combination with coefficients in a small grid, that passes ``accept``."""
-    for f in _candidates(basis, rng, _DEFAULT_TRIALS):
+    """The first of the basis and its random combinations, then (for at most 3
+    basis elements) the first combination with coefficients in a small grid,
+    that passes ``accept``."""
+    for f in itertools.chain(basis, _candidates(basis, rng, _DEFAULT_TRIALS)):
         if accept(f):
             return f
     if len(basis) <= 3:
@@ -295,31 +323,43 @@ def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factor
     if len(basis) == 1:
         leaves.append((m, incl))
         return
-    fixed = _frobenius_blocks(m, basis)
-    if fixed is not None and len(fixed) == 1:
-        # certified local: End(m) is commutative over F_p with one block
-        _skip_draws(m.field, rng, trials * len(basis))
-        leaves.append((m, incl))
-        return
-    for phi in _candidates(basis, rng, trials):
-        pieces = _primary_split(m, phi, factorizations)
+    for phi, factors, generates in _basis_walk(m, basis, factorizations):
+        pieces = _primary_split(m, phi, factors)
         if pieces:
             break
+        if generates and factors is not None:
+            # certified local: End(m) = F[phi] = F[x]/(mu), mu a power of one irreducible
+            _skip_draws(m.field, rng, trials * len(basis))
+            leaves.append((m, incl))
+            return
     else:
-        if fixed is None:
-            pieces = _idempotent_fallback(m, basis)
+        fixed = _frobenius_blocks(m, basis)
+        if fixed is not None and len(fixed) == 1:
+            # certified local: End(m) is commutative over F_p with one block
+            _skip_draws(m.field, rng, trials * len(basis))
+            leaves.append((m, incl))
+            return
+        for phi in _candidates(basis, rng, trials):
+            pieces = _primary_split(m, phi, _factored(m, phi, factorizations)[1])
+            if pieces:
+                break
         else:
-            # two or more blocks: a non-scalar fixed x has a minimal polynomial
-            # dividing x^p - x, so distinct linear factors, and it splits m
-            pieces = next(filter(None, (_primary_split(m, f, factorizations)
-                                        for f in fixed)), None)
+            if fixed is None:
+                pieces = _idempotent_fallback(m, basis)
+            else:
+                # two or more blocks: a non-scalar fixed x has a minimal polynomial
+                # dividing x^p - x, so distinct linear factors, and it splits m
+                pieces = next(filter(None, (
+                    _primary_split(m, f, _factored(m, f, factorizations)[1])
+                    for f in fixed)), None)
     if pieces:
         for piece, piece_incl in pieces:
             _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves, factorizations)
         return
     # reported local: exact for non-commutative End over F_2 or F_3 with
-    # dim End <= 6 (the exhaustive search above); over Q, k(t) and for larger
-    # non-commutative End over F_p it rests on the trials
+    # dim End <= 6 (the exhaustive search above); for an End that no basis
+    # element generates, over Q and k(t), and for larger non-commutative End
+    # over F_p it rests on the trials
     leaves.append((m, incl))
 
 
@@ -418,12 +458,16 @@ def end_algebra_structure(m: Representation):
 def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     """True iff End(m) is a division algebra.
 
-    dim End = 1 is immediate.  Over F_p the answer is exact: a non-commutative
-    End is no division algebra (Wedderburn), and a commutative one is a field
-    iff it has one block and no nilpotents, i.e. x -> x^p is injective.  Over Q
-    and k(t) every basis element and a batch of seeded probes must have an
-    irreducible minimal polynomial (no nilpotents, no idempotents).  Either
-    way rng advances by the probes' draws.
+    dim End = 1 is immediate.  Every element of a division algebra has an
+    irreducible minimal polynomial, and the End(m) basis is walked for one that
+    has not (no brick) or that generates End(m): End(m) = F[phi] = F[x]/(mu) is
+    a division algebra iff mu is irreducible.  Both answers are exact over
+    every field.  Failing that, over F_p the answer is still exact: a
+    non-commutative End is no division algebra (Wedderburn), and a commutative
+    one is a field iff it has one block and no nilpotents, i.e. x -> x^p is
+    injective.  Over Q and k(t) a batch of seeded probes must also have
+    irreducible minimal polynomials (probabilistic).  Either way rng advances
+    by the probes' draws.
     """
     if m.is_zero():
         return False
@@ -432,6 +476,12 @@ def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     if len(basis) == 1:
         return True
     F = m.field
+    for _, factors, generates in _basis_walk(m, basis, {}):
+        if factors is None:
+            continue
+        if not _irreducible(factors) or generates:
+            _skip_draws(F, rng, probes * len(basis))
+            return _irreducible(factors)
     if isinstance(F, PrimeField):
         _skip_draws(F, rng, probes * len(basis))
         fixed = _frobenius_blocks(m, basis)
@@ -441,9 +491,6 @@ def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
         return Matrix._make(F, len(rows), len(rows[0]), rows).rank() == len(basis)
     # all probes are drawn before any is tested, so rng advances by a fixed amount
     for phi in list(_candidates(basis, rng, probes)):
-        minpoly = endo_minimal_polynomial(phi)
-        if len(minpoly) == 2:
-            continue
-        if not is_irreducible_poly(m.field, minpoly):
+        if not is_irreducible_poly(F, endo_minimal_polynomial(phi)):
             return False
     return True

@@ -58,8 +58,10 @@ def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Repres
             algebra = load_algebra(spec)
         else:
             algebra = algebra_from_spec(spec)
+    if "dims" not in data:
+        raise ParseError("representation file carries no dims")
     try:
-        dims = {str(v): _dim(d) for v, d in data.get("dims", {}).items()}
+        dims = {str(v): _dim(d) for v, d in data["dims"].items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dims: {exc}") from exc
     unknown = [v for v in dims if v not in algebra.vertex_index]

@@ -1,9 +1,10 @@
-"""The Frobenius block count that certifies local modules over F_p.
+"""The certificates that prove a module local: one End(m) basis element that
+generates End(m), over every field, and the Frobenius block count over F_p.
 
 Oracles: an exhaustive count of the idempotents of End(m) (a commutative
 algebra with s blocks has 2^s of them), the random draws the splitter's trial
-loop makes when it fails, and the absence of sympy from a CLI process over F_p
-(its presence over Q).
+loop makes when it fails, the leaves found without the generator certificate,
+and the absence of sympy from a CLI process over F_p (its presence over Q).
 """
 
 import itertools
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import canrep
-from canrep.exactla import poly_factor_fp
+from canrep.exactla import FunctionField, Matrix, companion_matrix, poly_factor_fp
 from canrep.repcat import (
     decomp,
     direct_sum,
@@ -30,7 +31,7 @@ from canrep.repcat import (
 from canrep.serialize import rep_to_json
 from canrep.trisection import TubeId, uniserial_tower
 
-from helpers import F2, F3, F5, QQ, conjugate, kron
+from helpers import F2, F3, F5, QQ, conjugate, kron, kron_jordan
 
 # monic irreducible quadratics, ascending coefficients
 QUADRATIC = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1)}
@@ -108,7 +109,8 @@ def test_noncommutative_end_gets_no_certificate(F):
 
 @pytest.mark.parametrize("F", [F2, F3], ids=["F2", "F3"])
 def test_split_along_a_fixed_element_when_no_trial_splits(F, monkeypatch):
-    """With no trials and candidates that never split, the fixed space does."""
+    """With no basis walk and no trials, the fixed space splits."""
+    monkeypatch.setattr(decomp, "_basis_walk", lambda m, basis, factorizations: iter(()))
     monkeypatch.setattr(decomp, "_candidates", lambda basis, rng, trials: iter(()))
     for name, m in _commutative_cases(F):
         basis = hom_basis(m, m)
@@ -131,30 +133,128 @@ def _after_draws(seed, field, count):
     return rng.random()
 
 
-def _no_minpoly(phi):
-    raise AssertionError("an exact verdict over F_p needs no minimal polynomial")
+def _no_candidates(basis, rng, trials):
+    raise AssertionError("a generated End(m) needs no random candidate")
+
+
+def _exact_route(monkeypatch):
+    """The minimal polynomials taken, in a list; any random candidate fails."""
+    taken = []
+    minpoly = decomp.endo_minimal_polynomial
+
+    def counted(phi):
+        taken.append(phi)
+        return minpoly(phi)
+
+    monkeypatch.setattr(decomp, "endo_minimal_polynomial", counted)
+    monkeypatch.setattr(decomp, "_candidates", _no_candidates)
+    return taken
 
 
 @pytest.mark.parametrize("trials", [64, 5])
 def test_certified_local_makes_the_trial_loops_draws(trials, monkeypatch):
-    monkeypatch.setattr(decomp, "endo_minimal_polynomial", _no_minpoly)
-    for m in _local_cases():
+    cases = _local_cases()
+    taken = _exact_route(monkeypatch)
+    for m in cases:
         d = len(hom_basis(m, m))
         assert d > 1
         rng = random.Random(11)
+        taken.clear()
         assert len(indecomposable_summands(m, rng, trials)) == 1
+        assert len(taken) <= d
         assert rng.random() == _after_draws(11, F5, trials * d)
 
 
 @pytest.mark.parametrize("probes", [32, 3])
 def test_is_brick_is_exact_and_makes_the_probes_draws(probes, monkeypatch):
-    monkeypatch.setattr(decomp, "endo_minimal_polynomial", _no_minpoly)
     s2, s3, quad1, quad2 = _local_cases()
+    taken = _exact_route(monkeypatch)
     for m, expected in ((s2, False), (s3, False), (quad1, True), (quad2, False)):
         d = len(hom_basis(m, m))
         rng = random.Random(12)
+        taken.clear()
         assert is_brick(m, rng, probes) is expected
+        assert len(taken) <= d
         assert rng.random() == _after_draws(12, F5, probes * d)
+
+
+QT = FunctionField(QQ)
+
+
+def _kron_companion(F, monic, rng):
+    """A conjugated Kronecker module (I, C) with C the companion matrix of an
+    irreducible monic polynomial: a regular simple whose End is F[x]/(monic)."""
+    alg = kron(F)
+    n = len(monic) - 1
+    return conjugate(canrep.repcat.Representation(
+        alg, {"0": n, "c": n},
+        {"x1": Matrix.identity(F, n), "x2": companion_matrix(F, monic)}), rng)
+
+
+@pytest.mark.parametrize("F", [QQ, QT], ids=["Q", "Q(t)"])
+def test_generated_end_gives_exact_verdicts_over_q_and_qt(F, monkeypatch):
+    """S[2] is certified local and a degree-2 regular simple is an exact brick,
+    factoring only minimal polynomials of basis elements."""
+    rng = random.Random(14)
+    t = F.make((QQ.zero, QQ.one)) if F is QT else F.from_int(2)
+    s2 = conjugate(kron_jordan(kron(F), F.one, 2), rng)
+    brick = _kron_companion(F, (F.neg(t), F.zero, F.one), rng)   # x^2 - t, x^2 - 2
+    taken = _exact_route(monkeypatch)
+    factored = []
+    factor = decomp.factor_poly
+
+    def spy(field, coeffs):
+        factored.append(coeffs)
+        return factor(field, coeffs)
+
+    monkeypatch.setattr(decomp, "factor_poly", spy)
+    for m, local, expected in ((s2, True, False), (brick, True, True)):
+        d = len(hom_basis(m, m))
+        assert d == 2
+        for seed in (15, 16):
+            taken.clear()
+            factored.clear()
+            rng = random.Random(seed)
+            if seed == 15:
+                assert (len(indecomposable_summands(m, rng, 5)) == 1) is local
+                draws = 5 * d
+            else:
+                assert is_brick(m, rng, 4) is expected
+                draws = 4 * d
+            assert len(taken) <= d and len(factored) <= len(taken)
+            assert rng.random() == _after_draws(seed, F, draws)
+
+
+def _leaves(m, seed):
+    rng = random.Random(seed)
+    leaves = indecomposable_summands(m, rng)
+    return [(leaf.dims, leaf.arrows, incl.maps) for leaf, incl in leaves], rng.random()
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_generator_certificate_changes_no_leaf_and_no_draw(F, monkeypatch):
+    """The splitter with no basis element ever taken as a generator (the Frobenius
+    count and the trials decide instead) gets the same leaves, inclusions and
+    rng state."""
+    cases = _commutative_cases(F)
+    counted = []
+    blocks = decomp._frobenius_blocks
+
+    def counting_blocks(m, basis):
+        counted.append(m)
+        return blocks(m, basis)
+
+    monkeypatch.setattr(decomp, "_frobenius_blocks", counting_blocks)
+    expected = [_leaves(m, 13) for _, m in cases]
+    with_generator = len(counted)
+    walk = decomp._basis_walk
+    monkeypatch.setattr(decomp, "_basis_walk", lambda m, basis, factorizations: (
+        (phi, factors, False) for phi, factors, _ in walk(m, basis, factorizations)))
+    counted.clear()
+    for (name, m), leaves in zip(cases, expected):
+        assert _leaves(m, 13) == leaves, name
+    # the generator certificate did spare some block counts
+    assert with_generator < len(counted)
 
 
 # python -c body: run the CLI, then report on stderr whether sympy was imported

@@ -223,11 +223,14 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     ("1/", "ratios"),                                   # a fraction without its denominator
     ("0,1/0", "ratios"),                                # a zero denominator after a good slope
     ("nan", "ratios"),                                  # a float word that is no rational
+    (_rep_text().replace('"dims"', '"dimz"'), "hom"),   # a representation without dims
+    (KRON_F5, "decompose"),                             # an algebra spec given as the module
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
         "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
         "dim-fraction", "dim-bool", "dim-negative", "weight-bool",
         "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
-        "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan"])
+        "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan",
+        "no-dims", "algebra-as-rep"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)
@@ -239,6 +242,10 @@ def test_malformed_json_is_a_parse_error(files, capsys, text, where):
         tubular = files["tmp"] / "tub.json"
         tubular.write_text(json.dumps(canonical_algebra(F5, [2, 2, 2, 2], [2, 3]).spec()))
         argv = ["chain", "--seed", "1", "--algebra", str(tubular), "--ratios", text]
+    elif where == "hom":
+        argv = ["hom", "--source", files["pc"], "--target", str(bad)]
+    elif where == "decompose":
+        argv = ["decompose", "--seed", "1", "--algebra", files["alg"], "--rep", str(bad)]
     else:
         argv = ["classify", "--rep", files["pc"], "--algebra", str(bad)]
     code, out = run(capsys, argv)

@@ -178,6 +178,36 @@ def test_inverse_and_power():
     assert mat(QQ, [[1, 1], [1, 1]]).inverse() is None
 
 
+def _naive_power(a, n):
+    out = Matrix.identity(a.field, a.rows)
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+def _naive_eval(a, coeffs):
+    out = Matrix.zeros(a.field, a.rows, a.cols)
+    for i, c in enumerate(coeffs):
+        out = out + _naive_power(a, i).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("F", [F5, QQ, QT], ids=["F5", "Q", "Q(t)"])
+def test_power_and_eval_poly_match_their_definitions(F):
+    rng = random.Random(23)
+    for size in (0, 1, 3):
+        a = Matrix(F, size, size, [[F.random(rng) for _ in range(size)] for _ in range(size)])
+        for n in range(7):
+            assert a.power(n) == _naive_power(a, n), (size, n)
+        assert a.power(0) == Matrix.identity(F, size)
+        assert a.power(1) == a
+        for deg in range(-1, 4):
+            coeffs = [F.random(rng) for _ in range(deg + 1)]
+            if coeffs:
+                coeffs[0] = F.zero   # a zero coefficient is skipped
+            assert a.eval_poly(coeffs) == _naive_eval(a, coeffs), (size, coeffs)
+
+
 def test_companion_matrix_over_f5():
     # companion of t-2 over F_5 is [2]
     c = companion_matrix(F5, (F5.neg(2), F5.one))
