@@ -332,15 +332,17 @@ class Matrix:
         return Matrix.identity(self.field, self.rows) if out is None else out
 
     def eval_poly(self, coeffs):
-        """coeffs ascending; returns sum coeffs[i] * self^i (Horner, each
-        coefficient added on the diagonal)."""
+        """coeffs ascending; returns sum coeffs[i] * self^i (Horner from the
+        leading coefficient, each coefficient added on the diagonal): degree d
+        costs d products, and no coefficients give the zero matrix."""
         if self.rows != self.cols:
             raise DimensionMismatch("polynomial of non-square matrix")
         F = self.field
         zero, add = F.zero, F.add
         out = Matrix.zeros(F, self.rows, self.cols)
-        for c in reversed(coeffs):
-            out = out * self
+        for k, c in enumerate(reversed(coeffs)):
+            if k:
+                out = out * self
             if c != zero:
                 data = [list(r) for r in out.data]
                 for i, row in enumerate(data):

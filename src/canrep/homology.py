@@ -6,6 +6,19 @@ connecting classes, pushforwards and pullbacks all use that identification,
 so "the class of a sequence" is well-defined across the package.  A class
 with cocycle Omega -> M is realized as the pushout of the presentation
 sequence 0 -> Omega -> P0 -> N -> 0 along its cocycle, by ``pushout`` itself.
+
+Hom(Omega, M) is solved from its commuting squares (``hom_basis``), but
+Hom(P0, M) is not: by Yoneda it is (+)_i M_{v_i}, one unit vector of M at the
+generator's vertex v_i per map, so ``_p0_image_columns`` writes the image
+cocycles directly, one product of path matrices of M with rows of the
+syzygy inclusion per generator and vertex.  Only the span of that image
+matters: the chosen quotient basis is the pivots of the Hom(Omega, M) basis
+after it, and class coordinates are the unique part of a solve over both.
+
+``ext1_dim`` and ``ext2_dim`` count without building a basis or an
+``ExtSpace``: 0 -> Hom(N, M) -> Hom(P0, M) -> Hom(Omega, M) -> Ext^1(N, M) -> 0
+is exact, so dim Ext^1(N, M) = hom_dim(Omega, M) - sum_i dim M_{v_i} +
+hom_dim(N, M), two ranks; Ext^2(N, M) = Ext^1(Omega, M).
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from .repcat import (
     factor_through_surjection,
     from_sum,
     hom_basis,
+    hom_dim,
     is_isomorphic,
     kernel,
     linear_combination,
@@ -96,14 +110,12 @@ class ExtSpace:
         self.field = n.field
         self.pres = pres if pres is not None else minimal_projective_presentation(n)
         self._hom_omega = hom_basis(self.pres.omega, m)
-        restricted = [f.after(self.pres.omega_incl) for f in hom_basis(self.pres.p0.rep, m)]
-        F = self.field
-        flat_len = len(self._hom_omega[0].flatten()) if self._hom_omega else 0
-        img_cols = [f.flatten() for f in restricted if not f.is_zero()]
+        img_cols = _p0_image_columns(self.pres, m) if self._hom_omega else []
         basis_cols = [f.flatten() for f in self._hom_omega]
         all_cols = img_cols + basis_cols
-        if flat_len and all_cols:
-            _, pivots = Matrix._make(F, flat_len, len(all_cols), zip(*all_cols)).rref()
+        if basis_cols:
+            _, pivots = Matrix._make(self.field, len(basis_cols[0]), len(all_cols),
+                                     zip(*all_cols)).rref()
         else:
             pivots = ()
         self._n_img = len(img_cols)
@@ -152,25 +164,78 @@ class ExtSpace:
             raise AlgebraError("connecting construction failed (not exact?)")
         return self.class_of_cocycle(into_sub)
 
+
+def _p0_image_columns(pres: Presentation, m: Representation) -> list:
+    """The image of Hom(P0, M) -> Hom(Omega, M) as flat cocycles (zero ones left out).
+
+    Hom(P0, M) = (+)_i M_{v_i} (Yoneda): generator i at v_i and a unit vector
+    e_q of M_{v_i} give the map sending path k of summand i to M(path_k) e_q.
+    Its restriction to Omega has w-component sum_k M(path_k) e_q (x) row
+    (offsets[i][w] + k) of omega_incl_w.  For all q at once that is one product
+    G * R per generator and vertex, with G[(a, q), k] = M(path_k)[a][q] (built
+    once per vertex pair) and R those rows of omega_incl_w; row (a, q) of the
+    product is row a of cocycle q's w-component.
+    """
+    F, omega = m.field, pres.omega
+    zero = F.zero
+    gathered = {}    # (v, w) -> G
+    cols = []
+    for i, v in enumerate(pres.p0.summand_vertices):
+        dv = m.dims[v]
+        if not dv:
+            continue
+        blocks = [[] for _ in range(dv)]
+        for w in m.algebra.vertices:
+            dw, ow = m.dims[w], omega.dims[w]
+            plist, basis, _ = m.algebra.path_space(v, w)
+            if not (dw and ow and basis):
+                for block in blocks:
+                    block.extend([zero] * (dw * ow))
+                continue
+            g = gathered.get((v, w))
+            if g is None:
+                mats = [m.eval_path(plist[b], v).data for b in basis]
+                g = gathered[(v, w)] = Matrix._make(
+                    F, dw * dv, len(basis),
+                    [[mat[a][q] for mat in mats] for a in range(dw) for q in range(dv)])
+            off = pres.p0.offsets[i][w]
+            rows = pres.omega_incl.maps[w].submatrix(range(off, off + len(basis)), range(ow))
+            prod = (g * rows).data
+            for q, block in enumerate(blocks):
+                for a in range(dw):
+                    block.extend(prod[a * dv + q])
+        cols.extend(block for block in blocks if any(x != zero for x in block))
+    return cols
+
+
 def ext1_basis(n: Representation, m: Representation) -> list[ExtClass]:
     return ExtSpace(n, m).basis()
 
 
 def ext1_dim(n: Representation, m: Representation) -> int:
-    return ExtSpace(n, m).dim
+    """dim Ext^1(N, M) from 0 -> Hom(N, M) -> Hom(P0, M) -> Hom(Omega, M) ->
+    Ext^1(N, M) -> 0, with dim Hom(P0, M) = sum_i dim M_{v_i}: two ranks, no
+    basis and no ExtSpace."""
+    if not n.algebra.same_as(m.algebra):
+        raise AlgebraError("Ext between representations over different algebras")
+    pres = minimal_projective_presentation(n)
+    h_omega = hom_dim(pres.omega, m)
+    if not h_omega:         # Ext^1 is a quotient of Hom(Omega, M)
+        return 0
+    return h_omega - sum(m.dims[v] for v in pres.p0.summand_vertices) + hom_dim(n, m)
 
 
 def ext2_dim(n: Representation, m: Representation) -> int:
-    """dim Ext^2 via dimension shift along the first syzygy."""
+    """dim Ext^2(N, M) = dim Ext^1(Omega, M), shifted along the first syzygy."""
     pres = minimal_projective_presentation(n)
     if pres.omega.is_zero():
         return 0
-    return ExtSpace(pres.omega, m).dim
+    return ext1_dim(pres.omega, m)
 
 
 def euler_ext_check(n: Representation, m: Representation) -> bool:
     alg = n.algebra
-    total = len(hom_basis(n, m)) - ext1_dim(n, m) + ext2_dim(n, m)
+    total = hom_dim(n, m) - ext1_dim(n, m) + ext2_dim(n, m)
     return total == alg.euler_form(n.dims, m.dims)
 
 

@@ -4,6 +4,10 @@ Hom spaces, kernels/cokernels/images, direct sums, simples, projectives,
 injectives, radicals and minimal projective presentations.  Everything is
 exact; every constructed value re-verifies its defining constraints.
 
+``hom_basis`` and ``hom_dim`` share one commuting-square system
+(``_hom_system``): the basis is its kernel, and the dimension is the number of
+unknowns minus its rank, so counting builds no kernel vector and no Morphism.
+
 Three pieces of Hom-space glue live here and nowhere else.  Finding a
 morphism in a span is ``span_coordinates`` (flattened morphisms as columns,
 one solve) followed by ``linear_combination`` (rebuild the sum from the
@@ -221,8 +225,10 @@ def morphism_from_flat(source, target, flat) -> Morphism:
 # Hom spaces
 # ---------------------------------------------------------------------------
 
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Basis of Hom(m, n) by solving all commuting-square systems at once."""
+def _hom_system(m: Representation, n: Representation) -> Matrix:
+    """The commuting-square system of Hom(m, n): one row per arrow a and entry
+    (i, j) of an n_t x m_s matrix, f_t * m_a - n_a * f_s = 0, over the unknowns
+    of the flat morphism (``Morphism.flatten`` order)."""
     if not m.algebra.same_as(n.algebra):
         raise AlgebraError("hom between representations over different algebras")
     alg, F = m.algebra, m.field
@@ -252,19 +258,22 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
                         row[base_s + k * ds + j] = neg(na[i][k])
                 rows.append(row)
     if not rows:
-        system = Matrix.zeros(F, 0, total)
-    else:
-        system = Matrix._make(F, len(rows), total, rows)
-    ker = system.kernel_basis()
-    basis = []
-    for j in range(ker.cols):
-        flat = [ker.data[i][j] for i in range(ker.rows)]
-        basis.append(morphism_from_flat(m, n, flat))
-    return basis
+        return Matrix.zeros(F, 0, total)
+    return Matrix._make(F, len(rows), total, rows)
 
 
-def hom_dim(m, n) -> int:
-    return len(hom_basis(m, n))
+def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
+    """Basis of Hom(m, n): the kernel of the commuting-square system."""
+    ker = _hom_system(m, n).kernel_basis()
+    return [morphism_from_flat(m, n, [ker.data[i][j] for i in range(ker.rows)])
+            for j in range(ker.cols)]
+
+
+def hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n) = unknowns - rank of the commuting-square system; no kernel
+    vector and no Morphism is built."""
+    system = _hom_system(m, n)
+    return system.cols - system.rank()
 
 
 def span_coordinates(field, cols, target):

@@ -421,7 +421,8 @@ def is_isomorphic(m: Representation, n: Representation, rng=None) -> Morphism | 
     """An invertible morphism m -> n, or None.
 
     Random linear combinations of a hom basis (seeded), with a deterministic
-    grid fallback for hom dimension <= 3.
+    grid fallback for hom dimension <= 3.  The dims are equal, so a candidate
+    is accepted when it is injective: square and injective is invertible.
     """
     rng = rng if rng is not None else random.Random(0)
     if not m.algebra.same_as(n.algebra):
@@ -433,7 +434,7 @@ def is_isomorphic(m: Representation, n: Representation, rng=None) -> Morphism | 
     basis = hom_basis(m, n)
     if not basis:
         return None
-    return _search(basis, rng, lambda f: f.inverse() is not None, m.total_dim)
+    return _search(basis, rng, Morphism.is_injective, m.total_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,17 @@ from types import SimpleNamespace
 
 from canrep.exactla import Matrix, PrimeField, RationalField
 from canrep.quiver_algebra import canonical_algebra
-from canrep.repcat import Morphism, Representation, direct_sum, kernel, projective_cover, radical
+from canrep.repcat import (
+    Morphism,
+    Representation,
+    direct_sum,
+    hom_basis,
+    kernel,
+    minimal_projective_presentation,
+    projective_cover,
+    radical,
+    span_coordinates,
+)
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -128,6 +138,35 @@ def reference_presentation(m):
         assert rad_incl.maps[v].hstack(omega_incl.maps[v]).rank() == rad_incl.maps[v].rank()
     return SimpleNamespace(module=m, p0=p0, cover=cover, omega=omega, omega_incl=omega_incl,
                            p1=p1, p1_cover=p1_cover, d=omega_incl.after(p1_cover))
+
+
+def reference_p0_image_columns(pres, m):
+    """The image of Hom(P0, M) -> Hom(Omega, M) as flat cocycles: a hom_basis of
+    Hom(P0, M) solved from its commuting squares, each map restricted to Omega."""
+    restricted = [f.after(pres.omega_incl) for f in hom_basis(pres.p0.rep, m)]
+    return [f.flatten() for f in restricted if not f.is_zero()]
+
+
+def reference_ext_space(n, m):
+    """Ext^1(N, M) = coker(Hom(P0, M) -> Hom(Omega, M)) with the image taken from
+    reference_p0_image_columns: (dim, basis cocycles, cocycle -> class coordinates)."""
+    F = m.field
+    pres = minimal_projective_presentation(n)
+    hom_omega = hom_basis(pres.omega, m)
+    img = reference_p0_image_columns(pres, m)
+    basis_cols = [f.flatten() for f in hom_omega]
+    cols = img + basis_cols
+    pivots = ()
+    if basis_cols:
+        _, pivots = Matrix(F, len(basis_cols[0]), len(cols), [list(r) for r in zip(*cols)]).rref()
+    chosen = [p - len(img) for p in pivots if p >= len(img)]
+    coord_cols = img + [basis_cols[i] for i in chosen]
+
+    def class_coords(cocycle):
+        return tuple(span_coordinates(F, coord_cols, cocycle.flatten())[len(img):])
+
+    return SimpleNamespace(dim=len(chosen), cocycles=[hom_omega[i] for i in chosen],
+                           class_coords=class_coords)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,25 @@ def test_power_and_eval_poly_match_their_definitions(F):
             assert a.eval_poly(coeffs) == _naive_eval(a, coeffs), (size, coeffs)
 
 
+@pytest.mark.parametrize("F", [F5, QQ, QT], ids=["F5", "Q", "Q(t)"])
+def test_eval_poly_of_degree_d_makes_d_products(F, monkeypatch):
+    products = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    rng = random.Random(29)
+    a = Matrix(F, 3, 3, [[F.random(rng) for _ in range(3)] for _ in range(3)])
+    for deg in range(-1, 5):
+        coeffs = [F.random(rng) for _ in range(deg)] + [F.one] * (deg >= 0)
+        products.clear()
+        a.eval_poly(coeffs)
+        assert len(products) == max(deg, 0), (deg, coeffs)
+
+
 def test_companion_matrix_over_f5():
     # companion of t-2 over F_5 is [2]
     c = companion_matrix(F5, (F5.neg(2), F5.one))

@@ -10,7 +10,10 @@ seed and conjugated by ``tests/helpers.conjugate``, so the splitter, the tube
 partition and the omega-approximations draw from the seeded rng, and the
 kernels, cokernels and basis completions meet non-unit bases.  The calls
 cover ``decompose``, ``split-trisect``, ``partition-tubes``, ``omega-left``
-and ``omega-right``; ``ext`` (Kronecker over F_5, (2, 2, 2) over Q); ``tau``
+and ``omega-right``; ``hom`` with its printed basis (``w222_hom_f5``, dim 5);
+``ext`` (Kronecker over F_5, (2, 2, 2) over Q, and ``w222_ext_f5``: (2, 2, 2)
+over F_5 with a non-projective syzygy, Ext^1 of dim 3 and Hom of dim 6, so
+every term of the Hom-Ext exact sequence is nonzero); ``tau``
 and ``tau --inverse`` on mixes with a projective summand; and ``sbracket`` on
 an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q.  The
 ``omega_left`` inputs P(c) (+) P(0) and P(0) reach several tower blocks, so

@@ -8,6 +8,7 @@ from canrep.exactla import Matrix
 from canrep.homology import ExtSpace, ext1_dim, ext2_dim, tau
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
+    Morphism,
     cokernel,
     direct_sum,
     factor_through_injection,
@@ -16,6 +17,7 @@ from canrep.repcat import (
     hom_dim,
     image,
     injective_at,
+    is_isomorphic,
     kernel,
     linear_combination,
     minimal_projective_presentation,
@@ -25,10 +27,20 @@ from canrep.repcat import (
     simple_at,
     top,
 )
+from canrep.repcat.decomp import _search
 from canrep.trisection import TubeId, regular_simples, split_trisect, uniserial_tower
 from canrep.tubular_slopes import TubularAlgebra
 
-from helpers import F3, F5, QQ, conjugate, kron, kron_point, reference_presentation
+from helpers import (
+    F3,
+    F5,
+    QQ,
+    conjugate,
+    kron,
+    kron_point,
+    reference_ext_space,
+    reference_presentation,
+)
 
 
 def random_rep(alg, rng, max_dim=2):
@@ -118,6 +130,62 @@ def test_realized_classes_round_trip():
                 assert space.class_of_sequence(cls.realize()).coords == cls.coords
 
 
+def test_ext_space_matches_the_hom_p0_reference():
+    # image of Hom(P0, M) from P0's generators vs restrictions of hom_basis(P0, M)
+    rng = random.Random(16)
+    for alg, reps in conjugated_samples(16):
+        for n, m in itertools.product(reps, repeat=2):
+            space, ref = ExtSpace(n, m), reference_ext_space(n, m)
+            assert space.dim == ref.dim
+            assert [cls.cocycle for cls in space.basis()] == ref.cocycles
+            hom = hom_basis(space.pres.omega, m)
+            for _ in range(3):
+                cocycle = linear_combination(space.pres.omega, m, hom,
+                                             [alg.field.random(rng) for _ in hom])
+                assert space.class_coords(cocycle) == ref.class_coords(cocycle)
+
+
+def test_dimensions_from_ranks_match_the_spaces():
+    for _, reps in conjugated_samples(16):
+        for n, m in itertools.product(reps, repeat=2):
+            assert hom_dim(n, m) == len(hom_basis(n, m))
+            assert ext1_dim(n, m) == ExtSpace(n, m).dim
+            omega = minimal_projective_presentation(n).omega
+            assert ext2_dim(n, m) == (0 if omega.is_zero()
+                                      else reference_ext_space(omega, m).dim)
+
+
+def _reference_is_isomorphic(m, n, rng):
+    """is_isomorphic accepting a candidate when Morphism.inverse finds an inverse."""
+    if m.dims != n.dims:
+        return None
+    if m.is_zero():
+        return Morphism.zero(m, n)
+    basis = hom_basis(m, n)
+    return _search(basis, rng, lambda f: f.inverse() is not None, m.total_dim) if basis else None
+
+
+def test_is_isomorphic_accepts_injective_candidates(monkeypatch):
+    # the same map and the same draws as the inverse test, with no inverse computed
+    rng = random.Random(17)
+    pairs = [(m, conjugate(m, rng)) for _, reps in conjugated_samples(17) for m in reps]
+    pairs += [(m, n) for _, reps in conjugated_samples(18) for m, n in zip(reps, reps[1:])]
+    expected = []
+    for k, (m, n) in enumerate(pairs):
+        ref_rng = random.Random(k)
+        expected.append((_reference_is_isomorphic(m, n, ref_rng), ref_rng.random()))
+    assert sum(f is not None for f, _ in expected) >= len(pairs) // 2
+
+    def no_inverse(self):
+        raise AssertionError("is_isomorphic inverted a matrix")
+
+    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    for k, ((m, n), (ref, draw)) in enumerate(zip(pairs, expected)):
+        call_rng = random.Random(k)
+        assert is_isomorphic(m, n, call_rng) == ref
+        assert call_rng.random() == draw
+
+
 def test_hom_proj_dim_formula():
     # dim Hom(P(v), M) = dim M_v = <dim P(v), dim M>
     rng = random.Random(1)
@@ -182,8 +250,6 @@ def test_sbracket_chain_struture():
     tube = TubeId.for_arm(1)
     orbit = regular_simples(alg, tube)
     tower = uniserial_tower(alg, tube, 0, 4)
-    from canrep.repcat import is_isomorphic
-
     for j, incl in enumerate(tower.inclusions):
         cok, _ = cokernel(incl)
         expected = orbit[(j + 1) % len(orbit)]
