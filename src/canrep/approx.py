@@ -17,6 +17,7 @@ from .exactla import FunctionField, Matrix, PrimeField, RationalField
 from .homology import (
     ExtSpace,
     ShortExactSequence,
+    _p0_image_columns,
     kills_classes,
     lift_through_surjection,
     realize_from_cocycle,
@@ -175,17 +176,15 @@ def left_omega_approx(m: Representation, params: TruncationParams,
     if omega_u is None:
         raise ApproximationError("syzygy comparison failed")
     hom_big = hom_basis(pres_big.omega, kept)
-    corrections = [g.after(space_small.pres.omega_incl)
-                   for g in hom_basis(space_small.pres.p0.rep, kept)]
     cols = [h.after(omega_u).flatten() for h in hom_big]
-    cols += [g.flatten() for g in corrections]
+    cols += _p0_image_columns(space_small.pres, kept)
     if not cols:
         raise ApproximationError("empty cocycle space at this truncation")
     coeffs = span_coordinates(alg.field, cols, theta_small.flatten())
     if coeffs is None:
         raise ApproximationError("no compatible class at this depth",
                                  {"depth": params.depth})
-    # the coefficients past hom_big belong to the corrections and are dropped
+    # the coefficients past hom_big, over the image of Hom(P0_small, kept), are dropped
     theta_big = linear_combination(pres_big.omega, kept, hom_big, coeffs)
     seq = realize_from_cocycle(pres_big, kept, theta_big)
     certs = _left_certificates(seq, mouths)

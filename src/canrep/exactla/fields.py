@@ -404,9 +404,11 @@ class FunctionField:
         if m:
             num = poly_parse(self.base, m.group("n"))
             den = poly_parse(self.base, m.group("d"))
+            if not poly_trim(self.base, den):
+                raise ParseError(f"zero denominator in {s!r}")
             return self.make(num, den)
         if "/" in s and _VAR not in s:
-            return self.coerce(Fraction(s) if self.base.kind == "Q" else int(s))
+            return self.coerce(self.base.parse_base(s))
         try:
             return self.make(poly_parse(self.base, s))
         except ParseError:

@@ -7,13 +7,15 @@ so "the class of a sequence" is well-defined across the package.  A class
 with cocycle Omega -> M is realized as the pushout of the presentation
 sequence 0 -> Omega -> P0 -> N -> 0 along its cocycle, by ``pushout`` itself.
 
-Hom(Omega, M) is solved from its commuting squares (``hom_basis``), but
-Hom(P0, M) is not: by Yoneda it is (+)_i M_{v_i}, one unit vector of M at the
-generator's vertex v_i per map, so ``_p0_image_columns`` writes the image
-cocycles directly, one product of path matrices of M with rows of the
-syzygy inclusion per generator and vertex.  Only the span of that image
+Hom(Omega, M) is the kernel of its commuting-square system, kept as flat
+columns; only the chosen representatives become Morphisms.  Hom(P0, M) is
+not solved: by Yoneda it is (+)_i M_{v_i}, so ``_p0_image_columns`` writes
+the image cocycles directly, one product of path matrices of M with rows of
+the syzygy inclusion per generator and vertex.  Only the span of that image
 matters: the chosen quotient basis is the pivots of the Hom(Omega, M) basis
-after it, and class coordinates are the unique part of a solve over both.
+after it, class coordinates are the unique part of a solve over both, and a
+class pushed along M -> X vanishes exactly when its cocycle lies in the image
+of Hom(P0, X) (``kills_classes``).
 
 ``ext1_dim`` and ``ext2_dim`` count without building a basis or an
 ``ExtSpace``: 0 -> Hom(N, M) -> Hom(P0, M) -> Hom(Omega, M) -> Ext^1(N, M) -> 0
@@ -44,11 +46,13 @@ from .repcat import (
     kernel,
     linear_combination,
     minimal_projective_presentation,
+    morphism_from_flat,
     morphism_from_projective_sum,
     projective_sum,
     span_coordinates,
     zero_representation,
 )
+from .repcat.core import _hom_system
 
 
 @dataclass
@@ -109,31 +113,29 @@ class ExtSpace:
         self.target = m
         self.field = n.field
         self.pres = pres if pres is not None else minimal_projective_presentation(n)
-        self._hom_omega = hom_basis(self.pres.omega, m)
-        img_cols = _p0_image_columns(self.pres, m) if self._hom_omega else []
-        basis_cols = [f.flatten() for f in self._hom_omega]
+        ker = _hom_system(self.pres.omega, m).kernel_basis()
+        basis_cols = [ker.col(j) for j in range(ker.cols)]
+        img_cols = _p0_image_columns(self.pres, m) if basis_cols else []
         all_cols = img_cols + basis_cols
         if basis_cols:
-            _, pivots = Matrix._make(self.field, len(basis_cols[0]), len(all_cols),
+            _, pivots = Matrix._make(self.field, ker.rows, len(all_cols),
                                      zip(*all_cols)).rref()
         else:
             pivots = ()
         self._n_img = len(img_cols)
-        self._rep_indices = [p - len(img_cols) for p in pivots if p >= len(img_cols)]
+        chosen = [basis_cols[p - len(img_cols)] for p in pivots if p >= len(img_cols)]
+        self._reps = [morphism_from_flat(self.pres.omega, m, col) for col in chosen]
         # a cocycle's coordinates over the image columns, then the chosen basis
-        self._coord_cols = img_cols + [basis_cols[i] for i in self._rep_indices]
+        self._coord_cols = img_cols + chosen
 
     @property
     def dim(self) -> int:
-        return len(self._rep_indices)
+        return len(self._reps)
 
     def basis(self) -> list[ExtClass]:
         F = self.field
-        out = []
-        for k, idx in enumerate(self._rep_indices):
-            coords = tuple(F.one if i == k else F.zero for i in range(self.dim))
-            out.append(ExtClass(self, self._hom_omega[idx], coords))
-        return out
+        return [ExtClass(self, rep, tuple(F.one if i == k else F.zero for i in range(self.dim)))
+                for k, rep in enumerate(self._reps)]
 
     def class_coords(self, cocycle: Morphism) -> tuple:
         """Coordinates of a cocycle's class over the chosen quotient basis."""
@@ -389,11 +391,13 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
 
 def kills_classes(space: ExtSpace, inclusion: Morphism) -> bool:
     """Whether inclusion: M -> X sends every class of Ext^1(N, M) to zero in
-    Ext^1(N, X), checked on the basis cocycles of ``space`` = Ext^1(N, M)."""
+    Ext^1(N, X), checked on the basis cocycles of ``space`` = Ext^1(N, M): each
+    pushed cocycle must lie in the Yoneda image of Hom(P0, X)."""
     if not space.dim:
         return True
-    target = ExtSpace(space.source, inclusion.target, space.pres)
-    return all(target.class_of_cocycle(inclusion.after(cls.cocycle)).is_zero()
+    image_cols = _p0_image_columns(space.pres, inclusion.target)
+    return all(span_coordinates(space.field, image_cols,
+                                inclusion.after(cls.cocycle).flatten()) is not None
                for cls in space.basis())
 
 

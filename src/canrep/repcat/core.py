@@ -19,13 +19,14 @@ vertex) and ``block_diagonal`` (f_1 (+) ... (+) f_n), never as a sum of
 injection-map-projection composites.  How a sum lays out its summands is
 decided once, in ``direct_sum`` (``DirectSum.offsets``).
 
-Sub-representations and basis completions are built in one place each.
+Sub-representations, images and quotients are each read off one reduced form.
 ``_subrep`` turns per-vertex column bases into a sub-representation and its
-inclusion (one solve per arrow, with the arrow-stability check); ``kernel``,
-``image`` and ``radical`` differ only in the bases they pass.
-``_unit_complement`` completes a column basis with unit vectors (one rref of
-[B | I]), for the quotient basis of ``cokernel`` and the generators of
-``projective_cover``.
+inclusion (one solve per arrow, with the arrow-stability check) for
+``kernel``, ``image`` and ``radical``; ``image`` takes its basis (the pivot
+columns) and its epi (the top rows) from one rref of f_v.  ``_unit_complement``
+makes one rref of [f_v | I]: its pivots past f_v give the unit vectors e_C
+completing the column space (``projective_cover``'s generators), and its
+right block is [B | e_C]^-1, whose last rows are ``cokernel``'s projection.
 
 ``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
 algebra and keep it in ``algebra.module_cache``; every later call returns the
@@ -403,11 +404,15 @@ def _subrep(m: Representation, bases: dict, what: str):
     return sub, Morphism(sub, m, bases, check=False)
 
 
-def _unit_complement(basis: Matrix) -> list[int]:
-    """The indices i, ascending, of the unit vectors e_i that complete the
-    independent columns of basis to a basis of the whole space."""
-    _, pivots = basis.hstack(Matrix.identity(basis.field, basis.rows)).rref()
-    return [j - basis.cols for j in pivots if j >= basis.cols]
+def _unit_complement(f: Matrix):
+    """(C, projection) from one rref of [f | I] = [E f | E]: C lists, ascending,
+    the unit vectors e_C past f's pivots that complete f's column space, and
+    E = [B | e_C]^-1 (B: f's pivot columns), so E's last len(C) rows project
+    onto span(e_C), killing the column space."""
+    n = f.rows
+    reduced, pivots = f.hstack(Matrix.identity(f.field, n)).rref()
+    comp = [j - f.cols for j in pivots if j >= f.cols]
+    return comp, reduced.submatrix(range(n - len(comp), n), range(f.cols, f.cols + n))
 
 
 def kernel(f: Morphism):
@@ -419,36 +424,23 @@ def kernel(f: Morphism):
 def image(f: Morphism):
     """(sub-representation of target, inclusion, epi from source)."""
     alg = f.source.algebra
-    bases = {v: f.maps[v].column_space_basis() for v in alg.vertices}
-    img, incl = _subrep(f.target, bases, "image")
-    epis = {v: bases[v].solve(f.maps[v]) for v in alg.vertices}
-    if any(e is None for e in epis.values()):
-        raise AlgebraError("image factorization failed (internal error)")
+    reduced = {v: f.maps[v].rref() for v in alg.vertices}
+    img, incl = _subrep(f.target, {v: f.maps[v].select_columns(piv)
+                                   for v, (_, piv) in reduced.items()}, "image")
+    epis = {v: r.submatrix(range(len(piv)), range(r.cols)) for v, (r, piv) in reduced.items()}
     return img, incl, Morphism(f.source, img, epis, check=False)
 
 
 def cokernel(f: Morphism):
-    """(quotient representation, projection) of coker f."""
-    alg, F = f.target.algebra, f.target.field
-    projs, lifts = {}, {}
+    """(quotient representation, projection) of coker f, on the basis e_C."""
+    alg = f.target.algebra
+    comps, projs = {}, {}
     for v in alg.vertices:
-        col = f.maps[v].column_space_basis()
-        n = f.target.dims[v]
-        comp_cols = _unit_complement(col)
-        comp = Matrix(F, n, len(comp_cols),
-                      [[F.one if i == j else F.zero for j in comp_cols] for i in range(n)])
-        inv = col.hstack(comp).inverse()
-        if inv is None:
-            raise AlgebraError("cokernel basis completion failed (internal error)")
-        projs[v] = inv.submatrix(range(col.cols, n), range(n))
-        lifts[v] = comp
-    dims = {v: projs[v].rows for v in alg.vertices}
-    arrows = {}
-    for a in alg.arrows:
-        arrows[a.label] = projs[a.target] * f.target.arrows[a.label] * lifts[a.source]
-    cok = Representation(alg, dims, arrows, check=False)
-    proj = Morphism(f.target, cok, projs, check=False)
-    return cok, proj
+        comps[v], projs[v] = _unit_complement(f.maps[v])
+    arrows = {a.label: projs[a.target] * f.target.arrows[a.label].select_columns(comps[a.source])
+              for a in alg.arrows}
+    cok = Representation(alg, {v: projs[v].rows for v in alg.vertices}, arrows, check=False)
+    return cok, Morphism(f.target, cok, projs, check=False)
 
 
 def factor_through_surjection(p: Morphism, f: Morphism) -> Morphism | None:
@@ -622,7 +614,7 @@ def projective_cover(m: Representation):
         n = m.dims[v]
         if n == 0:      # no generators here; skipping spares an rref of an empty matrix
             continue
-        for idx in _unit_complement(incl.maps[v]):
+        for idx in _unit_complement(incl.maps[v])[0]:
             verts.append(v)
             gens.append(Matrix.column(F, [F.one if i == idx else F.zero for i in range(n)]))
     ps = projective_sum(alg, verts)
@@ -683,10 +675,10 @@ def minimal_projective_presentation(m: Representation) -> Presentation:
 def _build_presentation(m: Representation) -> Presentation:
     p0, cover = projective_cover(m)
     omega, omega_incl = kernel(cover)
-    # minimality certificate: the syzygy sits inside rad P0
+    # minimality certificate: the syzygy sits inside rad P0 (a column basis)
     _, rad_incl = radical(p0.rep)
     for v in m.algebra.vertices:
         stack = rad_incl.maps[v].hstack(omega_incl.maps[v])
-        if stack.rank() != rad_incl.maps[v].rank():
+        if stack.rank() != rad_incl.maps[v].cols:
             raise AlgebraError("projective cover not minimal (internal error)")
     return Presentation(m, p0, cover, omega, omega_incl)

@@ -66,6 +66,7 @@ from .core import (
     Representation,
     coordinates_in_hom_basis,
     hom_basis,
+    hom_dim,
     image,
     kernel,
     linear_combination,
@@ -409,8 +410,14 @@ def is_indecomposable(m: Representation, rng=None) -> bool:
 
 def find_injective_morphism(m: Representation, n: Representation,
                             rng=None) -> Morphism | None:
-    """Some monomorphism m -> n, or None (seeded search plus small grids)."""
+    """Some monomorphism m -> n, or None (seeded search plus small grids).
+
+    None is exact when Hom(m, n) = 0 or some dim m_v > dim n_v; then no search
+    runs, but a failed search's draws are made.  Otherwise it proves nothing."""
     rng = rng if rng is not None else random.Random(0)
+    if any(d > n.dims.get(v, 0) for v, d in m.dims.items()):
+        _skip_draws(m.field, rng, _DEFAULT_TRIALS * hom_dim(m, n))
+        return None
     basis = hom_basis(m, n)
     if not basis:
         return None

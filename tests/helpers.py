@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 from canrep.exactla import Matrix, PrimeField, RationalField
+from canrep.homology import ExtSpace
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
@@ -167,6 +168,59 @@ def reference_ext_space(n, m):
 
     return SimpleNamespace(dim=len(chosen), cocycles=[hom_omega[i] for i in chosen],
                            class_coords=class_coords)
+
+
+# ---------------------------------------------------------------------------
+# references for the sub-objects, quotients and searches read off one reduced form
+# ---------------------------------------------------------------------------
+
+def reference_image(f):
+    """(image, inclusion, epi): the pivot columns of f_v as the basis, each arrow
+    and the epi solved against it (a second elimination per vertex)."""
+    alg = f.source.algebra
+    bases = {v: f.maps[v].column_space_basis() for v in alg.vertices}
+    arrows = {a.label: bases[a.target].solve(f.target.arrows[a.label] * bases[a.source])
+              for a in alg.arrows}
+    img = Representation(alg, {v: bases[v].cols for v in alg.vertices}, arrows)
+    epis = {v: bases[v].solve(f.maps[v]) for v in alg.vertices}
+    return img, Morphism(img, f.target, bases), Morphism(f.source, img, epis)
+
+
+def reference_cokernel(f):
+    """(quotient, projection) in three steps per vertex: a column basis B of f_v,
+    its unit-vector completion e_C from an rref of [B | I], and the last rows of
+    the inverse of [B | e_C] as the projection; arrows are projection * arrow * e_C."""
+    alg, F = f.target.algebra, f.target.field
+    projs, lifts = {}, {}
+    for v in alg.vertices:
+        col = f.maps[v].column_space_basis()
+        n = f.target.dims[v]
+        _, pivots = col.hstack(Matrix.identity(F, n)).rref()
+        comp = [j - col.cols for j in pivots if j >= col.cols]
+        lifts[v] = Matrix(F, n, len(comp), [[F.one if i == j else F.zero for j in comp]
+                                            for i in range(n)])
+        inv = col.hstack(lifts[v]).inverse()
+        projs[v] = inv.submatrix(range(col.cols, n), range(n))
+    arrows = {a.label: projs[a.target] * f.target.arrows[a.label] * lifts[a.source]
+              for a in alg.arrows}
+    cok = Representation(alg, {v: projs[v].rows for v in alg.vertices}, arrows)
+    return cok, Morphism(f.target, cok, projs)
+
+
+def reference_kills_classes(space, inclusion):
+    """Whether every basis class of space = Ext^1(N, M), pushed along inclusion,
+    has zero coordinates in a second ExtSpace Ext^1(N, X) on the same presentation."""
+    target = ExtSpace(space.source, inclusion.target, space.pres)
+    return all(target.class_of_cocycle(inclusion.after(cls.cocycle)).is_zero()
+               for cls in space.basis())
+
+
+def reference_find_injective_morphism(m, n, rng):
+    """The seeded search over a Hom(m, n) basis, whatever the dimensions."""
+    from canrep.repcat.decomp import _search
+
+    basis = hom_basis(m, n)
+    return _search(basis, rng, Morphism.is_injective, m.total_dim + n.total_dim) if basis else None
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,8 @@ def test_chain_command(tmp_path, capsys):
 
 
 KRON_F5 = '{"field": {"kind": "Fp", "p": 5}, "weights": [], "params": []}'
+KRON_QT = '{"field": {"kind": "Qt"}, "weights": [], "params": []}'
+KRON_F5T = '{"field": {"kind": "Fpt", "p": 5}, "weights": [], "params": []}'
 
 
 def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
@@ -225,12 +227,16 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     ("nan", "ratios"),                                  # a float word that is no rational
     (_rep_text().replace('"dims"', '"dimz"'), "hom"),   # a representation without dims
     (KRON_F5, "decompose"),                             # an algebra spec given as the module
+    (_rep_text(KRON_QT, arrows='{"x1": [["(t)/(0)"]]}'), "rep"),  # a zero polynomial denominator
+    (_rep_text(KRON_QT, arrows='{"x1": [["1/0"]]}'), "rep"),      # a zero rational denominator
+    (_rep_text(KRON_F5T, arrows='{"x1": [["1/2"]]}'), "rep"),     # a fraction over F_p(t)
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
         "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
         "dim-fraction", "dim-bool", "dim-negative", "weight-bool",
         "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
         "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan",
-        "no-dims", "algebra-as-rep"])
+        "no-dims", "algebra-as-rep", "qt-zero-poly-denominator", "qt-zero-denominator",
+        "fpt-fraction"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)

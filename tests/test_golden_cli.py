@@ -14,8 +14,12 @@ and ``omega-right``; ``hom`` with its printed basis (``w222_hom_f5``, dim 5);
 ``ext`` (Kronecker over F_5, (2, 2, 2) over Q, and ``w222_ext_f5``: (2, 2, 2)
 over F_5 with a non-projective syzygy, Ext^1 of dim 3 and Hom of dim 6, so
 every term of the Hom-Ext exact sequence is nonzero); ``tau``
-and ``tau --inverse`` on mixes with a projective summand; and ``sbracket`` on
-an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q.  The
+and ``tau --inverse`` on mixes with a projective summand; ``sbracket`` on
+an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q; and
+``chain`` (``w2222_chain_f5``: ``--ratios 0,1,∞`` on the tubular algebra
+(2, 2, 2, 2) over F_5 of ``w2222_f5.alg.json``, whose monomorphism search
+meets 15 pairs with Hom != 0 where the dimensions already rule out a
+monomorphism, so it pins the draws replayed for them).  The
 ``omega_left`` inputs P(c) (+) P(0) and P(0) reach several tower blocks, so
 the block maps of their universal extensions have several parts.
 ``kron_omega_left_repeated_tube`` names the tube ``pt:t`` twice; its

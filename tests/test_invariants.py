@@ -4,12 +4,14 @@ import itertools
 import random
 from fractions import Fraction
 
+from canrep import approx
 from canrep.exactla import Matrix
-from canrep.homology import ExtSpace, ext1_dim, ext2_dim, tau
+from canrep.homology import ExtSpace, ext1_dim, ext2_dim, kills_classes, tau
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
     cokernel,
+    decomp,
     direct_sum,
     factor_through_injection,
     factor_through_surjection,
@@ -27,7 +29,7 @@ from canrep.repcat import (
     simple_at,
     top,
 )
-from canrep.repcat.decomp import _search
+from canrep.repcat.decomp import _search, find_injective_morphism
 from canrep.trisection import TubeId, regular_simples, split_trisect, uniserial_tower
 from canrep.tubular_slopes import TubularAlgebra
 
@@ -38,7 +40,12 @@ from helpers import (
     conjugate,
     kron,
     kron_point,
+    reference_cokernel,
     reference_ext_space,
+    reference_find_injective_morphism,
+    reference_image,
+    reference_kills_classes,
+    reference_p0_image_columns,
     reference_presentation,
 )
 
@@ -153,6 +160,111 @@ def test_dimensions_from_ranks_match_the_spaces():
             omega = minimal_projective_presentation(n).omega
             assert ext2_dim(n, m) == (0 if omega.is_zero()
                                       else reference_ext_space(omega, m).dim)
+
+
+def _sample_maps(seed):
+    """Zero, identity, basis and random maps between conjugated samples."""
+    rng = random.Random(seed)
+    for alg, reps in conjugated_samples(seed):
+        for m, n in itertools.product(reps, repeat=2):
+            basis = hom_basis(m, n)
+            yield Morphism.zero(m, n)
+            yield from basis[:2]
+            yield linear_combination(m, n, basis, [alg.field.random(rng) for _ in basis])
+        yield from (Morphism.identity(m) for m in reps)
+
+
+def test_cokernel_and_image_match_the_three_step_references():
+    maps = list(_sample_maps(19))
+    # zero-dimensional vertices on both sides, and zero maps into nonzero targets
+    assert any(0 in f.source.dims.values() and 0 in f.target.dims.values() for f in maps)
+    assert any(f.is_zero() and not f.target.is_zero() for f in maps)
+    for f in maps:
+        cok, proj = cokernel(f)
+        ref_cok, ref_proj = reference_cokernel(f)
+        assert cok.dims == ref_cok.dims and cok.arrows == ref_cok.arrows
+        assert proj.maps == ref_proj.maps
+        img, incl, epi = image(f)
+        ref_img, ref_incl, ref_epi = reference_image(f)
+        assert img.dims == ref_img.dims and img.arrows == ref_img.arrows
+        assert incl.maps == ref_incl.maps and epi.maps == ref_epi.maps
+
+
+def test_kills_classes_matches_the_second_ext_space():
+    # pushing along the identity keeps every class; along a realized class's
+    # inclusion that class dies, and the others may survive
+    verdicts = []
+    for _, reps in conjugated_samples(20, 2):
+        for n, m in itertools.product(reps, repeat=2):
+            space = ExtSpace(n, m)
+            maps = [Morphism.identity(m), Morphism.zero(m, m)]
+            maps += [cls.realize().inclusion for cls in space.basis()]
+            for f in maps:
+                verdict = kills_classes(space, f)
+                assert verdict == reference_kills_classes(space, f)
+                verdicts.append((space.dim, verdict))
+    assert (True in {v for d, v in verdicts if d}) and (False in {v for _, v in verdicts})
+
+
+def test_dims_rule_out_a_monomorphism_without_a_search(monkeypatch):
+    # where some dim m_v > dim n_v, None comes with the failed search's draws
+    pairs = [(m, n) for _, reps in conjugated_samples(21)
+             for m, n in itertools.product(reps, repeat=2)
+             if any(m.dims[v] > n.dims[v] for v in m.algebra.vertices)]
+    expected = []
+    for k, (m, n) in enumerate(pairs):
+        rng = random.Random(k)
+        expected.append((reference_find_injective_morphism(m, n, rng), rng.random()))
+    assert all(f is None for f, _ in expected)
+    assert sum(hom_dim(m, n) > 0 for m, n in pairs) >= 10
+
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(decomp, "linear_combination", no_search)
+    for k, ((m, n), (_, draw)) in enumerate(zip(pairs, expected)):
+        rng = random.Random(k)
+        assert find_injective_morphism(m, n, rng) is None
+        assert rng.random() == draw
+
+
+def test_find_injective_morphism_search_is_unchanged():
+    pairs = [(m, n) for _, reps in conjugated_samples(22)
+             for m, n in itertools.product(reps, repeat=2)
+             if all(m.dims[v] <= n.dims[v] for v in m.algebra.vertices)]
+    found = 0
+    for k, (m, n) in enumerate(pairs):
+        ref_rng, rng = random.Random(k), random.Random(k)
+        f = find_injective_morphism(m, n, rng)
+        assert f == reference_find_injective_morphism(m, n, ref_rng)
+        assert rng.random() == ref_rng.random()
+        found += f is not None
+    assert found >= 5
+
+
+def _left_approximations():
+    """Left approximations of conjugated projectives over three algebras and fields."""
+    for field, weights, params, tubes in (
+            (F3, [], [], (TubeId.for_point((0, 1)), TubeId.for_point((F3.neg(1), 1)))),
+            (F5, [2, 2, 2], [2], (TubeId.for_arm(2), TubeId.for_point((F5.neg(1), 1)))),
+            (QQ, [2, 3], [], (TubeId.for_arm(1), TubeId.for_arm(2)))):
+        alg = canonical_algebra(field, weights, params)
+        pc0 = direct_sum([projective_at(alg, "c"), projective_at(alg, "0")]).rep
+        for k, m in enumerate((projective_at(alg, "0"), pc0)):
+            for depth in (1, 2):
+                rng = random.Random(100 * k + depth)
+                ap = approx.left_omega_approx(conjugate(m, random.Random(k)),
+                                              approx.TruncationParams(tubes, depth), rng)
+                seq = ap.sequence
+                yield (seq.middle.arrows, seq.inclusion.maps, seq.projection.maps,
+                       ap.certificates, rng.random())
+
+
+def test_left_approximation_ignores_how_the_p0_image_is_spanned(monkeypatch):
+    # P0's Yoneda image columns against restrictions of a solved hom_basis(P0, kept)
+    ours = list(_left_approximations())
+    monkeypatch.setattr(approx, "_p0_image_columns", reference_p0_image_columns)
+    assert ours == list(_left_approximations())
 
 
 def _reference_is_isomorphic(m, n, rng):
