@@ -1,5 +1,5 @@
-"""Dense matrices over an exact field: arithmetic, Gauss-Jordan elimination
-and the minimal polynomial of a tuple of square matrices.
+"""Dense matrices over an exact field: arithmetic, Gaussian elimination and
+the minimal polynomial of a tuple of square matrices.
 
 Matrices are immutable (tuple-of-tuples storage); every operation returns a
 new value.  Target sizes are small (dimensions well under 200).
@@ -9,20 +9,40 @@ new value.  Target sizes are small (dimensions well under 200).
   canonical.  Results computed here (products, sums, ``rref``, transposes,
   stacks, ...) and matrices whose entries are already canonical are built by
   ``Matrix._make``, which trusts both.
-- Elimination (``rref`` and what is built on it) and ``minimal_polynomial``
-  update rows in place and visit only the nonzero columns of the pivot row:
-  each pivot row is listed once as (column, value) pairs right of its 1, and
-  every other row with a nonzero in the pivot column changes at those columns
-  alone.  Over ``F_p`` that update, like ``__mul__``, computes on plain ints
-  (canonical, 0 <= x < p) with one ``% p`` per cell; over Q and k(t) it calls
-  the field's methods.  The reduced row-echelon form is unique, so skipping
-  zero cells changes no result.
+- Elimination runs in two passes, and each entry point pays only for what it
+  reads.  The forward pass (``_echelon``) scales each pivot row to a 1 and
+  clears the rows below it; the back-substitution (``_back_substitute``) then
+  clears above the pivots from the last one up, at a chosen set of columns
+  only.  That is exact: a pivot column's entries above its pivot are never
+  changed by a later pivot, so the chosen columns come out as in the reduced
+  row-echelon form, which is unique.
+  - ``rank``, ``column_space_basis``, ``is_injective`` and ``is_surjective``
+    run the forward pass alone.
+  - ``kernel_basis`` returns after the forward pass when no column is free,
+    and otherwise back-substitutes the free columns only.
+  - ``solve`` (and so ``inverse``) seeks pivots in the coefficient columns
+    only, returns None when a row left without a pivot there is nonzero in
+    the right-hand side, and otherwise back-substitutes the right-hand
+    columns only.
+  - ``rref`` back-substitutes every non-pivot column and clears the pivot
+    columns: the full reduced form.
+  - Outside this module, ``repcat.core._unit_complement`` back-substitutes
+    only the identity block of [f | I], and ``homology.ExtSpace`` reads the
+    forward pass's pivots alone.
+- Both passes and ``minimal_polynomial`` update rows in place through
+  ``_eliminate`` and visit only the nonzero columns of the pivot row: each
+  pivot row is listed once as (column, value) pairs right of its 1, and every
+  row cleared with it changes at those columns alone.  Over ``F_p`` that
+  update, like ``__mul__``, computes on plain ints (canonical, 0 <= x < p)
+  with one ``% p`` per cell; over Q and k(t) it calls the field's methods.
+  Skipping zero cells changes no result.
 - ``minimal_polynomial`` makes one incremental echelon pass over the
   flattened powers instead of solving a new system for every degree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count
 from operator import mul as _int_mul
 
@@ -50,6 +70,24 @@ def _eliminate(F, rows, c, pairs):
                 row[c] = zero
                 for j, x in pairs:
                     row[j] = sub(row[j], mul(f, x))
+
+
+def _back_substitute(F, m, pivots, cols):
+    """Clear above each pivot of the forward-eliminated rows m, in place, from
+    the last pivot up, updating only the columns listed (ascending) in cols.
+
+    A pivot column's entries above its pivot are never changed by a later
+    pivot (every later pivot row is zero left of its own pivot), so each is
+    still as the forward pass left it when its pivot is reached; the entries
+    of m at the columns in cols then equal those of the reduced row-echelon
+    form.  Other columns keep forward-pass values, except that a pivot
+    column's entries in the rows its pivot clears are set to 0."""
+    zero = F.zero
+    for k in range(len(pivots) - 1, 0, -1):
+        row, c = m[k], pivots[k]
+        pairs = [(j, row[j]) for j in cols[bisect_right(cols, c):] if row[j] != zero]
+        if pairs:
+            _eliminate(F, m[:k], c, pairs)
 
 
 class Matrix:
@@ -227,15 +265,18 @@ class Matrix:
 
     # -- elimination kernels ---------------------------------------------------
 
-    def rref(self):
-        """Reduced row-echelon form; returns (R, pivot_columns)."""
+    def _echelon(self, search=None):
+        """Forward pass on a copy of the rows: (rows, pivot columns), pivots
+        sought in the first ``search`` columns (all by default).  Each pivot row
+        is scaled to a 1 at its pivot and the rows below it are cleared there;
+        rows past the last pivot are zero in the searched columns."""
         F = self.field
         zero, one, mul = F.zero, F.one, F.mul
         m = [list(r) for r in self.data]
-        nrows, ncols = self.rows, self.cols
+        nrows = self.rows
         pivots = []
         r = 0
-        for c in range(ncols):
+        for c in range(self.cols if search is None else search):
             if r == nrows:
                 break
             for pr in range(r, nrows):
@@ -253,29 +294,41 @@ class Matrix:
                 pairs = [(j, mul(inv, x)) for j, x in pairs]
                 for j, x in pairs:
                     prow[j] = x
-            _eliminate(F, m[:r] + m[r + 1:], c, pairs)
+            _eliminate(F, m[r + 1:], c, pairs)
             pivots.append(c)
             r += 1
-        return Matrix._make(F, nrows, ncols, m), tuple(pivots)
+        return m, pivots
+
+    def rref(self):
+        """Reduced row-echelon form; returns (R, pivot_columns)."""
+        F = self.field
+        m, pivots = self._echelon()
+        pivset = set(pivots)
+        _back_substitute(F, m, pivots, [j for j in range(self.cols) if j not in pivset])
+        for k, c in enumerate(pivots):
+            for row in m[:k]:
+                row[c] = F.zero
+        return Matrix._make(F, self.rows, self.cols, m), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._echelon()[1])
 
     def kernel_basis(self):
         """Columns form a basis of the right null space {x : self*x = 0}."""
         F = self.field
-        R, pivots = self.rref()
+        m, pivots = self._echelon()
         pivset = set(pivots)
         free = [j for j in range(self.cols) if j not in pivset]
+        if not free:
+            return Matrix._make(F, self.cols, 0, [()] * self.cols)
+        _back_substitute(F, m, pivots, free)
         cols = []
         for fj in free:
             v = [F.zero] * self.cols
             v[fj] = F.one
             for i, pj in enumerate(pivots):
-                v[pj] = F.neg(R.data[i][fj])
+                v[pj] = F.neg(m[i][fj])
             cols.append(v)
-        if not cols:
-            return Matrix._make(F, self.cols, 0, [()] * self.cols)
         return Matrix._make(F, self.cols, len(cols), zip(*cols))
 
     def solve(self, b: "Matrix"):
@@ -283,17 +336,16 @@ class Matrix:
         if b.rows != self.rows:
             raise DimensionMismatch("solve: rhs row mismatch")
         F = self.field
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
         n = self.cols
-        for c in pivots:
-            if c >= n:
-                return None
+        m, pivots = self.hstack(b)._echelon(n)
+        # a row left without a pivot in self's columns must be zero in b's
         z = F.zero
+        if any(x != z for row in m[len(pivots):] for x in row[n:]):
+            return None
+        _back_substitute(F, m, pivots, list(range(n, n + b.cols)))
         X = [[z] * b.cols for _ in range(n)]
         for i, pj in enumerate(pivots):
-            for k in range(b.cols):
-                X[pj][k] = R.data[i][n + k]
+            X[pj] = m[i][n:]
         return Matrix._make(F, n, b.cols, X)
 
     def inverse(self):
@@ -307,8 +359,7 @@ class Matrix:
 
     def column_space_basis(self):
         """Matrix whose columns are a basis of the column space (original columns)."""
-        _, pivots = self.rref()
-        return self.select_columns(pivots)
+        return self.select_columns(self._echelon()[1])
 
     def is_injective(self):
         return self.rank() == self.cols

@@ -38,7 +38,6 @@ from .repcat import (
     direct_sum,
     dualize,
     factor_through_injection,
-    factor_through_surjection,
     from_sum,
     hom_basis,
     hom_dim,
@@ -52,7 +51,7 @@ from .repcat import (
     span_coordinates,
     zero_representation,
 )
-from .repcat.core import _hom_system
+from .repcat.core import _cokernel, _hom_system
 
 
 @dataclass
@@ -119,7 +118,7 @@ class ExtSpace:
         all_cols = img_cols + basis_cols
         if basis_cols:
             _, pivots = Matrix._make(self.field, ker.rows, len(all_cols),
-                                     zip(*all_cols)).rref()
+                                     zip(*all_cols))._echelon()
         else:
             pivots = ()
         self._n_img = len(img_cols)
@@ -266,18 +265,26 @@ def realize_from_cocycle(pres: Presentation, m: Representation,
 # ---------------------------------------------------------------------------
 
 def pushout(f: Morphism, ses: ShortExactSequence) -> ShortExactSequence:
-    """Induced sequence 0 -> M' -> E' -> quotient -> 0 along f: sub -> M' (verified)."""
+    """Induced sequence 0 -> M' -> E' -> quotient -> 0 along f: sub -> M' (verified).
+
+    E' is the cokernel of glue = (f, -inclusion): sub -> M' (+) middle, on the
+    unit vectors e_C of M' (+) middle.  Its inclusion of M' is the first
+    columns of the cokernel projection, and its projection onto the quotient
+    is (0, projection) restricted to e_C: that map kills glue's image, so it
+    factors through the cokernel, and on e_C it is the factor itself."""
     if f.source.dims != ses.sub.dims:
         raise DimensionMismatch("pushout map must start at the subobject")
-    ds = direct_sum([f.target, ses.middle])
-    glue = ds.injections[0].after(f) - ds.injections[1].after(ses.inclusion)
-    middle, quot = cokernel(glue)
-    incl = quot.after(ds.injections[0])
-    onto_q = ses.projection.after(ds.projections[1])
-    proj = factor_through_surjection(quot, onto_q)
-    if proj is None:
-        raise AlgebraError("pushout projection failed")
-    return ShortExactSequence(f.target, middle, ses.quotient, incl, proj).verify()
+    m = f.target
+    alg, F = m.algebra, m.field
+    glue = Morphism(ses.sub, direct_sum([m, ses.middle]).rep,
+                    {v: f.maps[v].vstack(-ses.inclusion.maps[v]) for v in alg.vertices},
+                    check=False)
+    middle, quot, comps = _cokernel(glue)
+    incl = {v: quot.maps[v].select_columns(range(m.dims[v])) for v in alg.vertices}
+    proj = {v: Matrix.zeros(F, ses.quotient.dims[v], m.dims[v])
+            .hstack(ses.projection.maps[v]).select_columns(comps[v]) for v in alg.vertices}
+    return ShortExactSequence(m, middle, ses.quotient, Morphism(m, middle, incl, check=False),
+                              Morphism(middle, ses.quotient, proj, check=False)).verify()
 
 
 def pullback(g: Morphism, ses: ShortExactSequence) -> ShortExactSequence:
@@ -349,7 +356,11 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
         e = len(end_s)
         if space.dim % e:
             raise AlgebraError("Ext^1(S, m) is not free over End(S)?")
-        actions = [_end_action_on_syzygy(space.pres, g) for g in end_s]
+        # the identity acts on Omega as a lift of itself, up to maps through P0,
+        # which change no class coordinates
+        ident = Morphism.identity(s)
+        actions = [Morphism.identity(space.pres.omega) if g == ident
+                   else _end_action_on_syzygy(space.pres, g) for g in end_s]
         selected = []
         span_rows = []
         span_rank = 0

@@ -24,9 +24,11 @@ Sub-representations, images and quotients are each read off one reduced form.
 inclusion (one solve per arrow, with the arrow-stability check) for
 ``kernel``, ``image`` and ``radical``; ``image`` takes its basis (the pivot
 columns) and its epi (the top rows) from one rref of f_v.  ``_unit_complement``
-makes one rref of [f_v | I]: its pivots past f_v give the unit vectors e_C
-completing the column space (``projective_cover``'s generators), and its
-right block is [B | e_C]^-1, whose last rows are ``cokernel``'s projection.
+eliminates [f_v | I] once, back-substituting the right block only: its pivots
+past f_v give the unit vectors e_C completing the column space
+(``projective_cover``'s generators), and its reduced right block is
+[B | e_C]^-1, whose last rows are ``cokernel``'s projection.  ``pushout``
+reads its maps off that projection and e_C (``_cokernel``).
 
 ``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
 algebra and keep it in ``algebra.module_cache``; every later call returns the
@@ -47,6 +49,7 @@ from itertools import chain
 
 from ..errors import AlgebraError, DimensionMismatch
 from ..exactla import Matrix
+from ..exactla.matrix import _back_substitute
 from ..quiver_algebra import QuiverAlgebra
 
 
@@ -405,14 +408,16 @@ def _subrep(m: Representation, bases: dict, what: str):
 
 
 def _unit_complement(f: Matrix):
-    """(C, projection) from one rref of [f | I] = [E f | E]: C lists, ascending,
-    the unit vectors e_C past f's pivots that complete f's column space, and
-    E = [B | e_C]^-1 (B: f's pivot columns), so E's last len(C) rows project
-    onto span(e_C), killing the column space."""
-    n = f.rows
-    reduced, pivots = f.hstack(Matrix.identity(f.field, n)).rref()
+    """(C, projection) from the reduced form of [f | I] = [E f | E], with only
+    its right block back-substituted: C lists, ascending, the unit vectors e_C
+    past f's pivots that complete f's column space, and E = [B | e_C]^-1 (B:
+    f's pivot columns), so E's last len(C) rows project onto span(e_C),
+    killing the column space."""
+    n, F = f.rows, f.field
+    rows, pivots = f.hstack(Matrix.identity(F, n))._echelon()
+    _back_substitute(F, rows, pivots, list(range(f.cols, f.cols + n)))
     comp = [j - f.cols for j in pivots if j >= f.cols]
-    return comp, reduced.submatrix(range(n - len(comp), n), range(f.cols, f.cols + n))
+    return comp, Matrix._make(F, len(comp), n, [row[f.cols:] for row in rows[n - len(comp):]])
 
 
 def kernel(f: Morphism):
@@ -433,6 +438,13 @@ def image(f: Morphism):
 
 def cokernel(f: Morphism):
     """(quotient representation, projection) of coker f, on the basis e_C."""
+    cok, proj, _ = _cokernel(f)
+    return cok, proj
+
+
+def _cokernel(f: Morphism):
+    """(quotient, projection, C): ``cokernel``, and per vertex the indices C of
+    the unit vectors e_C of f's target whose images are the quotient's basis."""
     alg = f.target.algebra
     comps, projs = {}, {}
     for v in alg.vertices:
@@ -440,7 +452,7 @@ def cokernel(f: Morphism):
     arrows = {a.label: projs[a.target] * f.target.arrows[a.label].select_columns(comps[a.source])
               for a in alg.arrows}
     cok = Representation(alg, {v: projs[v].rows for v in alg.vertices}, arrows, check=False)
-    return cok, Morphism(f.target, cok, projs, check=False)
+    return cok, Morphism(f.target, cok, projs, check=False), comps
 
 
 def factor_through_surjection(p: Morphism, f: Morphism) -> Morphism | None:

@@ -3,12 +3,14 @@
 from types import SimpleNamespace
 
 from canrep.exactla import Matrix, PrimeField, RationalField
-from canrep.homology import ExtSpace
+from canrep.homology import ExtSpace, ShortExactSequence
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
     Representation,
+    cokernel,
     direct_sum,
+    factor_through_surjection,
     hom_basis,
     kernel,
     minimal_projective_presentation,
@@ -205,6 +207,18 @@ def reference_cokernel(f):
               for a in alg.arrows}
     cok = Representation(alg, {v: projs[v].rows for v in alg.vertices}, arrows)
     return cok, Morphism(f.target, cok, projs)
+
+
+def reference_pushout(f, ses):
+    """The pushout along f through the biproduct maps: glue and the inclusion
+    composed with the injections of f.target (+) ses.middle, the quotient map
+    with its second projection, and the projection solved through the cokernel."""
+    ds = direct_sum([f.target, ses.middle])
+    glue = ds.injections[0].after(f) - ds.injections[1].after(ses.inclusion)
+    middle, quot = cokernel(glue)
+    incl = quot.after(ds.injections[0])
+    proj = factor_through_surjection(quot, ses.projection.after(ds.projections[1]))
+    return ShortExactSequence(f.target, middle, ses.quotient, incl, proj).verify()
 
 
 def reference_kills_classes(space, inclusion):

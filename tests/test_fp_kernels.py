@@ -65,31 +65,68 @@ def sparse_matrix(F, rows, cols, density, rng):
                                    for _ in range(cols)] for _ in range(rows)])
 
 
-def check_rref(a):
-    """rref equal to the cell-by-cell reference, and a itself left unchanged."""
+def check_elimination(a):
+    """rref, rank, column space and kernel equal to the cell-by-cell reference,
+    and a itself left unchanged; returns the pivot columns."""
+    F = a.field
     before = tuple(tuple(row) for row in a.data)
     r, pivots = a.rref()
     ref_rows, ref_pivots = reference_rref(a)
     assert pivots == ref_pivots
-    assert r == Matrix(a.field, a.rows, a.cols, ref_rows)
+    assert r == Matrix(F, a.rows, a.cols, ref_rows)
+    assert a.rank() == len(ref_pivots)
+    assert a.column_space_basis() == a.select_columns(ref_pivots)
+    ker = a.kernel_basis()
+    assert (ker.rows, ker.cols) == (a.cols, a.cols - len(ref_pivots))
+    assert [list(c) for c in zip(*ker.data)] == reference_kernel_columns(a)
     assert a.data == before
+    return pivots
+
+
+def check_solve(a, b):
+    """solve equal to the reference, a and b left unchanged; True if consistent."""
+    before = (a.data, b.data)
+    x = a.solve(b)
+    assert x == reference_solve(a, b)
+    assert (a.data, b.data) == before
+    if x is not None:
+        assert a * x == b
+    return x is not None
+
+
+def sparse_sweep(F, rng, sizes, count):
+    """Sparse matrices at every density, the 0-row and 0-column shapes, and tall
+    ones of full column rank (an identity below sparse rows), each with a
+    right-hand side in its column space and an arbitrary one, which for a
+    matrix of deficient row rank is mostly inconsistent."""
+    mats = [sparse_matrix(F, rows, cols, 0.3, rng) for rows, cols in ((0, 0), (0, 3), (3, 0))]
+    for density in DENSITIES:
+        for _ in range(count):
+            mats.append(sparse_matrix(F, rng.randint(1, sizes), rng.randint(1, sizes),
+                                      density, rng))
+        cols = rng.randint(1, sizes)
+        mats.append(sparse_matrix(F, rng.randint(0, sizes), cols, density, rng)
+                    .vstack(Matrix.identity(F, cols)))
+    shapes_seen, full_rank, kinds = set(), 0, set()
+    for a in mats:
+        pivots = check_elimination(a)
+        shapes_seen.add((a.rows == 0, a.cols == 0))
+        full_rank += a.cols > 0 and len(pivots) == a.cols
+        k = rng.randint(1, 3)
+        inside = a * sparse_matrix(F, a.cols, k, 0.5, rng)
+        assert check_solve(a, inside)
+        kinds.add(check_solve(a, sparse_matrix(F, a.rows, k, 0.5, rng)))
+    assert shapes_seen == {(False, False), (True, False), (False, True), (True, True)}
+    assert full_rank >= len(DENSITIES) and kinds == {False, True}
 
 
 @pytest.mark.parametrize("F", SPARSE_FIELDS, ids=repr)
 def test_sparse_rref_matches_reference(F):
-    rng = random.Random(14)
-    for density in DENSITIES:
-        for _ in range(12):
-            check_rref(sparse_matrix(F, rng.randint(1, 24), rng.randint(1, 24),
-                                     density, rng))
+    sparse_sweep(F, random.Random(14), 24, 12)
 
 
 def test_sparse_rref_over_function_field_matches_reference():
-    F = FunctionField(QQ)
-    rng = random.Random(15)
-    for density in DENSITIES:
-        for _ in range(4):
-            check_rref(sparse_matrix(F, rng.randint(1, 5), rng.randint(1, 5), density, rng))
+    sparse_sweep(FunctionField(QQ), random.Random(15), 5, 4)
 
 
 @pytest.mark.parametrize("F", [PrimeField(2), PrimeField(5), QQ], ids=repr)
@@ -116,7 +153,7 @@ def test_hom_systems_match_reference(F, monkeypatch):
     monkeypatch.undo()
     assert len(systems) == len(modules) ** 2
     for system in systems:
-        check_rref(system)
+        check_elimination(system)
 
 
 def random_permutation_matrix(F, n, rng):

@@ -4,9 +4,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from canrep import approx
+from canrep import approx, homology
 from canrep.exactla import Matrix
-from canrep.homology import ExtSpace, ext1_dim, ext2_dim, kills_classes, tau
+from canrep.homology import (
+    ExtSpace,
+    ShortExactSequence,
+    ext1_dim,
+    ext2_dim,
+    kills_classes,
+    pushout,
+    tau,
+    universal_extension,
+)
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
@@ -47,6 +56,7 @@ from helpers import (
     reference_kills_classes,
     reference_p0_image_columns,
     reference_presentation,
+    reference_pushout,
 )
 
 
@@ -188,6 +198,64 @@ def test_cokernel_and_image_match_the_three_step_references():
         ref_img, ref_incl, ref_epi = reference_image(f)
         assert img.dims == ref_img.dims and img.arrows == ref_img.arrows
         assert incl.maps == ref_incl.maps and epi.maps == ref_epi.maps
+
+
+def test_pushout_matches_the_biproduct_reference():
+    # along zero, basis and random cocycles of each presentation sequence, and
+    # along zero, identity, basis and random maps out of each realized extension
+    rng = random.Random(23)
+    pushed = 0
+    for alg, reps in conjugated_samples(23, 2):
+        for n, m in itertools.product(reps, repeat=2):
+            pres = minimal_projective_presentation(n)
+            seqs = [(ShortExactSequence(pres.omega, pres.p0.rep, n, pres.omega_incl,
+                                        pres.cover), m)]
+            seqs += [(cls.realize(), n) for cls in ExtSpace(n, m).basis()[:2]]
+            for ses, x in seqs:
+                basis = hom_basis(ses.sub, x)
+                maps = [Morphism.zero(ses.sub, x), *basis[:2],
+                        linear_combination(ses.sub, x, basis,
+                                           [alg.field.random(rng) for _ in basis])]
+                if x is ses.sub:
+                    maps.append(Morphism.identity(x))
+                for f in maps:
+                    got, ref = pushout(f, ses), reference_pushout(f, ses)
+                    assert got.middle.dims == ref.middle.dims
+                    assert got.middle.arrows == ref.middle.arrows
+                    assert got.inclusion.maps == ref.inclusion.maps
+                    assert got.projection.maps == ref.projection.maps
+                    pushed += not f.is_zero()
+    assert pushed >= 20
+
+
+def test_identity_acts_on_the_syzygy_up_to_the_p0_image():
+    # universal_extension takes id_Omega for the identity of End(S) without a
+    # lift: the lifted action gives the same class coordinates.  A regular
+    # simple of degree 2 over F_3 or F_5 has a 2-dimensional End(S), with the
+    # identity among its basis elements, so there the actions decide which
+    # classes are kept
+    rng = random.Random(24)
+    cases = [(alg, [simple_at(alg, v) for v in alg.vertices])
+             for field in (F3, F5, QQ)
+             for alg in (kron(field), canonical_algebra(field, [2, 2, 2], [2]))]
+    wide = []
+    for field, point in ((F3, (1, 0, 1)), (F5, (2, 0, 1))):
+        alg = kron(field)
+        wide.append(conjugate(regular_simples(alg, TubeId.for_point(point), rng)[0], rng))
+        cases.append((alg, wide[-1:]))
+    compared = 0
+    for alg, simples in cases:
+        targets = [projective_at(alg, v) for v in alg.vertices] + simples
+        for s, m in itertools.product(simples, targets):
+            space = ExtSpace(s, m)
+            lifted = homology._end_action_on_syzygy(space.pres, Morphism.identity(s))
+            for cls in space.basis():
+                assert space.class_coords(cls.cocycle.after(lifted)) == cls.coords
+                compared += 1
+            if s in wide:
+                assert Morphism.identity(s) in hom_basis(s, s)
+                assert universal_extension(m, [s]).multiplicities == [space.dim // 2]
+    assert compared >= 10
 
 
 def test_kills_classes_matches_the_second_ext_space():
