@@ -158,7 +158,7 @@ def left_omega_approx(m: Representation, params: TruncationParams,
 
     if not towers:      # then ue.sequence is 0 -> kept -> kept -> 0
         return LeftApproximation(ue.sequence, kept, stripped, params, blocks, mult_by_tube,
-                                 _left_certificates(ue.sequence, mouths))
+                                 _left_certificates(ue.sequence, mouths, ue.spaces))
 
     # the universal-extension quotient is the sum of the towers' socles
     t_small = ue.sequence.quotient
@@ -187,19 +187,23 @@ def left_omega_approx(m: Representation, params: TruncationParams,
     # the coefficients past hom_big, over the image of Hom(P0_small, kept), are dropped
     theta_big = linear_combination(pres_big.omega, kept, hom_big, coeffs)
     seq = realize_from_cocycle(pres_big, kept, theta_big)
-    certs = _left_certificates(seq, mouths)
+    certs = _left_certificates(seq, mouths, ue.spaces)
     if not certs["ext_killed"]:
         raise ApproximationError("universal-extension contract failed")
     return LeftApproximation(seq, kept, stripped, params, blocks,
                              mult_by_tube, certs)
 
 
-def _left_certificates(seq: ShortExactSequence, mouths):
-    """Push every Ext^1(S, sub) basis cocycle into the middle; all must die."""
+def _left_certificates(seq: ShortExactSequence, mouths, spaces):
+    """Push every Ext^1(S, sub) basis cocycle into the middle; all must die.
+
+    ``spaces`` are Ext^1 spaces already built (the universal extension's); a
+    mouth whose Ext^1(S, sub) is among them reuses it."""
     certs = {"ext_killed": True, "source_torsionfree": True,
              "middle_torsionfree": True}
     for _, _, s in mouths:
-        if not kills_classes(ExtSpace(s, seq.sub), seq.inclusion):
+        space = next((sp for sp in spaces if sp.source is s and sp.target is seq.sub), None)
+        if not kills_classes(space or ExtSpace(s, seq.sub), seq.inclusion):
             certs["ext_killed"] = False
         if hom_dim(s, seq.sub):
             certs["source_torsionfree"] = False

@@ -23,7 +23,8 @@ new value.  Target sizes are small (dimensions well under 200).
   - ``solve`` (and so ``inverse``) seeks pivots in the coefficient columns
     only, returns None when a row left without a pivot there is nonzero in
     the right-hand side, and otherwise back-substitutes the right-hand
-    columns only.
+    columns only.  A right-hand side with no columns is always consistent,
+    and its cols x 0 answer is returned without elimination.
   - ``rref`` back-substitutes every non-pivot column and clears the pivot
     columns: the full reduced form.
   - Outside this module, ``repcat.core._unit_complement`` back-substitutes
@@ -337,6 +338,8 @@ class Matrix:
             raise DimensionMismatch("solve: rhs row mismatch")
         F = self.field
         n = self.cols
+        if not b.cols:      # no right-hand column: always consistent, nothing to eliminate
+            return Matrix.zeros(F, n, 0)
         m, pivots = self.hstack(b)._echelon(n)
         # a row left without a pivot in self's columns must be zero in b's
         z = F.zero

@@ -311,6 +311,7 @@ class UniversalExtension:
     sequence: ShortExactSequence
     simples: list            # deduplicated simple objects actually used
     multiplicities: list     # d_S per simple (dim over End(S))
+    spaces: list             # Ext^1(S, m) per simple, as built for the construction
 
 
 def _end_action_on_syzygy(pres: Presentation, g: Morphism) -> Morphism:
@@ -338,6 +339,8 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
 
     d_S = dim Ext^1(S, m) over End(S); after the construction the induced map
     Ext^1(S, m) -> Ext^1(S, X) is verified to be zero on a basis of cocycles.
+    The result keeps those Ext^1(S, m) (``spaces``) for callers that check the
+    same classes again.
     """
     alg, F = m.algebra, m.field
     used = []
@@ -382,6 +385,7 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
         mults.append(len(selected))
         chosen.append((s, space, selected))
 
+    spaces = [space for _, space, _ in chosen]
     blocks = []
     for s, space, selected in chosen:
         blocks.extend((space.pres, theta) for theta in selected)
@@ -389,15 +393,15 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
         ident = Morphism.identity(m)
         seq = ShortExactSequence(m, m, zero_representation(alg), ident,
                                  Morphism.zero(m, zero_representation(alg)))
-        return UniversalExtension(seq, used, mults)
+        return UniversalExtension(seq, used, mults, spaces)
 
     total_pres = _sum_presentation([pres for pres, _ in blocks], alg)
     cocycle = from_sum(total_pres.omega, m, [theta for _, theta in blocks])
     seq = realize_from_cocycle(total_pres, m, cocycle)
 
-    if not all(kills_classes(space, seq.inclusion) for _, space, _ in chosen):
+    if not all(kills_classes(space, seq.inclusion) for space in spaces):
         raise AlgebraError("universal extension failed to kill a class")
-    return UniversalExtension(seq, used, mults)
+    return UniversalExtension(seq, used, mults, spaces)
 
 
 def kills_classes(space: ExtSpace, inclusion: Morphism) -> bool:

@@ -34,11 +34,24 @@ reads its maps off that projection and e_C (``_cokernel``).
 algebra and keep it in ``algebra.module_cache``; every later call returns the
 same object.  Cached modules are shared values: no caller may change them.
 
-``minimal_projective_presentation`` builds each module's presentation once
-and keeps it on the module, for as long as the module's dims and arrow
-matrices stay the ones it was built from.  Its P1 is built on first read, so
-only callers that need the second step of the resolution (the transpose) pay
-for it.
+Each module has one slot of derived data (``_derived_slot``), valid for as
+long as the module's dims and arrow matrices stay the ones it was derived
+from; any change empties the whole slot on the next read.  It keeps:
+
+- the minimal projective presentation, built once by
+  ``minimal_projective_presentation``.  Its P1 is built on first read, so only
+  callers that need the second step of the resolution (the transpose) pay for
+  it;
+- End(m)'s basis as the kernel columns of its commuting-square system, so
+  ``hom_basis(m, m)`` solves once and ``hom_dim(m, m)`` counts them.  Each
+  ``hom_basis`` call still builds fresh Morphisms from the columns;
+- the exact "local" and "brick" verdicts of ``repcat.decomp``, which replays
+  the random draws the verdict's first computation made.
+
+Apart from the presentation, which refers back to the module, the slot holds
+no Morphism and no Representation: the module's own dims and matrices, field
+elements and verdicts.  A module that was never presented is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -56,8 +69,7 @@ from ..quiver_algebra import QuiverAlgebra
 class Representation:
     """Per-vertex dimensions plus one matrix per arrow (target x source)."""
 
-    # (dims, arrow matrices, Presentation), kept by minimal_projective_presentation
-    _presentation = None
+    _derived = None     # the _Derived slot, made on first read by _derived_slot
 
     def __init__(self, algebra: QuiverAlgebra, dims: dict, arrow_matrices: dict,
                  check: bool = True):
@@ -114,6 +126,30 @@ class Representation:
     def __repr__(self):
         body = ", ".join(f"{v}:{self.dims[v]}" for v in self.algebra.vertices)
         return f"Rep({body})"
+
+
+class _Derived:
+    """Data derived from one module's dims and arrow matrices (see the module
+    docstring): its presentation, End's kernel columns, and the exact leaf and
+    brick verdicts, each None until computed."""
+
+    __slots__ = ("dims", "arrows", "presentation", "end", "leaf", "brick")
+
+    def __init__(self, m: Representation):
+        self.dims = dict(m.dims)
+        self.arrows = tuple(m.arrows.values())
+        self.presentation = self.end = self.leaf = self.brick = None
+
+
+def _derived_slot(m: Representation) -> _Derived:
+    """m's derived-data slot, emptied when m's dims or arrow matrices are not the
+    ones it was derived from; matrices are immutable, so arrows are checked by
+    identity."""
+    kept = m._derived
+    if (kept is None or kept.dims != m.dims
+            or any(a is not b for a, b in zip(kept.arrows, m.arrows.values()))):
+        kept = m._derived = _Derived(m)
+    return kept
 
 
 def zero_representation(algebra) -> Representation:
@@ -266,16 +302,30 @@ def _hom_system(m: Representation, n: Representation) -> Matrix:
     return Matrix._make(F, len(rows), total, rows)
 
 
+def _kernel_columns(m: Representation, n: Representation) -> list:
+    return list(zip(*_hom_system(m, n).kernel_basis().data))
+
+
 def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Basis of Hom(m, n): the kernel of the commuting-square system."""
-    ker = _hom_system(m, n).kernel_basis()
-    return [morphism_from_flat(m, n, [ker.data[i][j] for i in range(ker.rows)])
-            for j in range(ker.cols)]
+    """Basis of Hom(m, n): the kernel of the commuting-square system.  For
+    End(m) (n is m) the kernel columns are kept on m and solved once."""
+    if m is n:
+        kept = _derived_slot(m)
+        if kept.end is None:
+            kept.end = _kernel_columns(m, m)
+        cols = kept.end
+    else:
+        cols = _kernel_columns(m, n)
+    return [morphism_from_flat(m, n, col) for col in cols]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(m, n) = unknowns - rank of the commuting-square system; no kernel
-    vector and no Morphism is built."""
+    vector and no Morphism is built.  A kept End(m) basis is counted instead."""
+    if m is n:
+        end = _derived_slot(m).end
+        if end is not None:
+            return len(end)
     system = _hom_system(m, n)
     return system.cols - system.rank()
 
@@ -669,19 +719,13 @@ class Presentation:
 
 
 def minimal_projective_presentation(m: Representation) -> Presentation:
-    """The presentation of m, built on the first call and kept on m.
-
-    Later calls return the kept object while m's dims and arrow matrices are
-    the ones it was built from; matrices are immutable, so that is a check by
-    identity.  Any change to m makes the next call build afresh.
-    """
-    kept = m._presentation
-    if (kept is not None and kept[0] == m.dims
-            and all(a is b for a, b in zip(kept[1], m.arrows.values()))):
-        return kept[2]
-    pres = _build_presentation(m)
-    m._presentation = (dict(m.dims), tuple(m.arrows.values()), pres)
-    return pres
+    """The presentation of m, built on the first call and kept in m's
+    derived-data slot; any change to m's dims or arrow matrices makes the next
+    call build afresh."""
+    kept = _derived_slot(m)
+    if kept.presentation is None:
+        kept.presentation = _build_presentation(m)
+    return kept.presentation
 
 
 def _build_presentation(m: Representation) -> Presentation:

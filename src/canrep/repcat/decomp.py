@@ -38,6 +38,14 @@ or has a reducible minimal polynomial; otherwise it samples probes.
 
 A certified verdict makes the random draws the trials would have made, so
 later draws, and seeded output, do not depend on which way a verdict came.
+
+Every exact verdict, "local" or "brick", is kept in the module's derived-data
+slot (``repcat.core``), next to End(m)'s basis.  A later
+``indecomposable_summands`` on a kept leaf returns ``[(m, identity)]`` and a
+later ``is_brick`` the kept answer, without a basis walk; each replays the
+draws of the failed trials (or probes), one per End basis element each, and
+none when dim End = 1.  A verdict that rests on the trials or probes is never
+kept, so every call repeats them.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from ..exactla import (
 from .core import (
     Morphism,
     Representation,
+    _derived_slot,
     coordinates_in_hom_basis,
     hom_basis,
     hom_dim,
@@ -270,11 +279,16 @@ def _search(basis, rng, accept, grid_bound):
     return None
 
 
+def _exhaustive(field, dim) -> bool:
+    """Whether an End(m) of dimension dim over field is small enough for the
+    exhaustive idempotent search: F_2 or F_3, dim <= 6."""
+    return isinstance(field, PrimeField) and field.p <= 3 and dim <= 6
+
+
 def _idempotent_fallback(m, basis):
-    """Exhaustive idempotent search in End(m), tiny fields and dim <= 6 only."""
+    """A split of m along a nontrivial idempotent of End(m), or None when End(m)
+    has none; every element is tried (see ``_exhaustive``)."""
     F = m.field
-    if not isinstance(F, PrimeField) or F.p > 3 or len(basis) > 6:
-        return None
     ident = Morphism.identity(m)
     for coeffs in itertools.product(range(F.p), repeat=len(basis)):
         f = linear_combination(m, m, basis, coeffs)
@@ -317,55 +331,72 @@ def _skip_draws(field, rng, count):
         field.random(rng)
 
 
+def _replay_draws(field, rng, count: int, dim: int):
+    """The draws of ``count`` failed trials (or probes) over an End basis of
+    ``dim`` elements, one draw per element each; none when dim End = 1, where
+    no trial runs."""
+    if dim > 1:
+        _skip_draws(field, rng, count * dim)
+
+
 def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factorizations):
     if m.is_zero():
         return
-    basis = hom_basis(m, m)
-    if len(basis) == 1:
-        leaves.append((m, incl))
-        return
-    for phi, factors, generates in _basis_walk(m, basis, factorizations):
-        pieces = _primary_split(m, phi, factors)
-        if pieces:
-            break
-        if generates and factors is not None:
-            # certified local: End(m) = F[phi] = F[x]/(mu), mu a power of one irreducible
-            _skip_draws(m.field, rng, trials * len(basis))
-            leaves.append((m, incl))
-            return
+    kept = _derived_slot(m)
+    if kept.leaf:
+        _replay_draws(m.field, rng, trials, len(kept.end))
     else:
-        fixed = _frobenius_blocks(m, basis)
-        if fixed is not None and len(fixed) == 1:
-            # certified local: End(m) is commutative over F_p with one block
-            _skip_draws(m.field, rng, trials * len(basis))
-            leaves.append((m, incl))
+        pieces, exact = _split(m, hom_basis(m, m), rng, trials, factorizations)
+        if pieces:
+            for piece, piece_incl in pieces:
+                _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves,
+                              factorizations)
             return
-        for phi in _candidates(basis, rng, trials):
-            pieces = _primary_split(m, phi, _factored(m, phi, factorizations)[1])
-            if pieces:
-                break
-        else:
-            if fixed is None:
-                pieces = _idempotent_fallback(m, basis)
-            else:
-                # two or more blocks: a non-scalar fixed x has a minimal polynomial
-                # dividing x^p - x, so distinct linear factors, and it splits m
-                pieces = next(filter(None, (
-                    _primary_split(m, f, _factored(m, f, factorizations)[1])
-                    for f in fixed)), None)
-    if pieces:
-        for piece, piece_incl in pieces:
-            _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves, factorizations)
-        return
-    # reported local: exact for non-commutative End over F_2 or F_3 with
-    # dim End <= 6 (the exhaustive search above); for an End that no basis
-    # element generates, over Q and k(t), and for larger non-commutative End
-    # over F_p it rests on the trials
+        if exact:
+            kept.leaf = True
     leaves.append((m, incl))
 
 
+def _split(m: Representation, basis, rng, trials, factorizations):
+    """(pieces, exact): pieces that split m, or None when m is reported local,
+    and whether that verdict is exact.  An exact verdict makes the draws of the
+    failed trial loop, and a kept one replays them."""
+    if len(basis) == 1:
+        return None, True
+    for phi, factors, generates in _basis_walk(m, basis, factorizations):
+        pieces = _primary_split(m, phi, factors)
+        if pieces:
+            return pieces, False
+        if generates and factors is not None:
+            # certified local: End(m) = F[phi] = F[x]/(mu), mu a power of one irreducible
+            _skip_draws(m.field, rng, trials * len(basis))
+            return None, True
+    fixed = _frobenius_blocks(m, basis)
+    if fixed is not None and len(fixed) == 1:
+        # certified local: End(m) is commutative over F_p with one block
+        _skip_draws(m.field, rng, trials * len(basis))
+        return None, True
+    for phi in _candidates(basis, rng, trials):
+        pieces = _primary_split(m, phi, _factored(m, phi, factorizations)[1])
+        if pieces:
+            return pieces, False
+    if fixed is not None:
+        # two or more blocks: a non-scalar fixed x has a minimal polynomial
+        # dividing x^p - x, so distinct linear factors, and it splits m
+        return next(filter(None, (_primary_split(m, f, _factored(m, f, factorizations)[1])
+                                  for f in fixed)), None), False
+    if _exhaustive(m.field, len(basis)):
+        return _idempotent_fallback(m, basis), True
+    # reported local on the trials alone: an End that no basis element
+    # generates, over Q and k(t), or a larger non-commutative End over F_p
+    return None, False
+
+
 def indecomposable_summands(m: Representation, rng=None, trials=_DEFAULT_TRIALS):
-    """[(leaf, inclusion into m)]; the stacked inclusions are an isomorphism."""
+    """[(leaf, inclusion into m)]; the stacked inclusions are an isomorphism.
+
+    A module whose exact "local" verdict is kept gives [(m, identity)] at once,
+    after the draws the verdict's first computation made."""
     rng = rng if rng is not None else random.Random(0)
     leaves = []
     _split_leaves(m, Morphism.identity(m), rng, trials, leaves, {})
@@ -475,30 +506,36 @@ def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     one is a field iff it has one block and no nilpotents, i.e. x -> x^p is
     injective.  Over Q and k(t) a batch of seeded probes must also have
     irreducible minimal polynomials (probabilistic).  Either way rng advances
-    by the probes' draws.
+    by the probes' draws.  An exact answer is kept on m, and a later call
+    returns it with the same draws.
     """
     if m.is_zero():
         return False
     rng = rng if rng is not None else random.Random(0)
-    basis = hom_basis(m, m)
+    kept = _derived_slot(m)
+    if kept.brick is None:
+        basis = hom_basis(m, m)
+        kept.brick = _exact_brick(m, basis)
+        if kept.brick is None:
+            # all probes are drawn before any is tested, so rng advances by a fixed amount
+            return all(is_irreducible_poly(m.field, endo_minimal_polynomial(phi))
+                       for phi in list(_candidates(basis, rng, probes)))
+    _replay_draws(m.field, rng, probes, len(kept.end))
+    return kept.brick
+
+
+def _exact_brick(m: Representation, basis):
+    """``is_brick``'s answer where it is exact, else None (Q and k(t) only)."""
     if len(basis) == 1:
         return True
-    F = m.field
     for _, factors, generates in _basis_walk(m, basis, {}):
-        if factors is None:
-            continue
-        if not _irreducible(factors) or generates:
-            _skip_draws(F, rng, probes * len(basis))
+        if factors is not None and (generates or not _irreducible(factors)):
             return _irreducible(factors)
-    if isinstance(F, PrimeField):
-        _skip_draws(F, rng, probes * len(basis))
-        fixed = _frobenius_blocks(m, basis)
-        if fixed is None or len(fixed) != 1:
-            return False
-        rows = [_power(b, F.p).flatten() for b in basis]
-        return Matrix._make(F, len(rows), len(rows[0]), rows).rank() == len(basis)
-    # all probes are drawn before any is tested, so rng advances by a fixed amount
-    for phi in list(_candidates(basis, rng, probes)):
-        if not is_irreducible_poly(F, endo_minimal_polynomial(phi)):
-            return False
-    return True
+    F = m.field
+    if not isinstance(F, PrimeField):
+        return None
+    fixed = _frobenius_blocks(m, basis)
+    if fixed is None or len(fixed) != 1:
+        return False
+    rows = [_power(b, F.p).flatten() for b in basis]
+    return Matrix._make(F, len(rows), len(rows[0]), rows).rank() == len(basis)

@@ -1,0 +1,258 @@
+"""The derived-data slot a module keeps (``repcat.core._derived_slot``): its
+presentation, End's basis and the exact leaf and brick verdicts.
+
+Oracles: the same call on an equal fresh copy of the module (answer and rng
+state), counts of the commuting-square systems and basis walks a call makes,
+and reference counting with the cyclic garbage collector off.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from canrep.errors import DimensionMismatch
+from canrep.exactla import Matrix, companion_matrix
+from canrep.homology import ExtSpace
+from canrep.approx import TruncationParams, left_omega_approx
+from canrep.quiver_algebra import canonical_algebra
+from canrep.repcat import (
+    Representation,
+    core,
+    decomp,
+    hom_basis,
+    hom_dim,
+    indecomposable_summands,
+    is_brick,
+    minimal_projective_presentation,
+    projective_at,
+)
+from canrep.trisection import TubeId, classify
+from canrep.tubular_slopes import TubularAlgebra, canonical_family_pool, slope
+
+from helpers import F3, F5, QQ, conjugate, kron, kron_jordan, kron_point
+
+
+def _companion(F, monic, seed):
+    """A conjugated Kronecker module (I, C), C the companion matrix of an
+    irreducible monic polynomial: End is F[x]/(monic), a field."""
+    n = len(monic) - 1
+    return conjugate(Representation(kron(F), {"0": n, "c": n},
+                                    {"x1": Matrix.identity(F, n),
+                                     "x2": companion_matrix(F, monic)}), random.Random(seed))
+
+
+def _pool_module(index):
+    tub = TubularAlgebra(canonical_algebra(F5, [2, 2, 2, 2], [2, 3]))
+    return tub, conjugate(canonical_family_pool(tub, random.Random(0))[index],
+                          random.Random(index))
+
+
+# name -> (builder of equal fresh copies, the route to the exact verdict):
+# "walk" lets a basis element generate End; "frobenius" takes no generator, so
+# the block count decides; "exhaustive" also treats End as non-commutative, so
+# the exhaustive idempotent search over F_3 decides
+CASES = {
+    "dim-end-1-F5": (lambda: conjugate(kron_point(kron(F5), 2), random.Random(1)), "walk"),
+    "generator-F5": (lambda: conjugate(kron_jordan(kron(F5), 2, 2), random.Random(2)), "walk"),
+    "generator-brick-F5": (lambda: _companion(F5, (2, 0, 1), 3), "walk"),
+    "generator-Q": (lambda: conjugate(kron_jordan(kron(QQ), 1, 2), random.Random(4)), "walk"),
+    "generator-brick-Q": (lambda: _companion(QQ, (QQ.from_int(-2), 0, 1), 5), "walk"),
+    "frobenius-F5": (lambda: conjugate(kron_jordan(kron(F5), 3, 2), random.Random(6)),
+                     "frobenius"),
+    "frobenius-brick-F5": (lambda: _companion(F5, (2, 0, 1), 7), "frobenius"),
+    "exhaustive-F3": (lambda: conjugate(kron_jordan(kron(F3), 1, 2), random.Random(17)),
+                      "exhaustive"),
+}
+
+
+def _leaves(m, rng):
+    return [(leaf.dims, leaf.arrows, incl.maps) for leaf, incl in indecomposable_summands(m, rng)]
+
+
+OPS = {
+    "classify": lambda m, rng: classify(m, rng),
+    "indecomposable_summands": _leaves,
+    "is_brick": lambda m, rng: is_brick(m, rng),
+}
+
+
+def _counting(monkeypatch, generators):
+    """Counts of commuting-square systems and basis walks, in a dict; without
+    generators, every basis walk reports that no element generates End."""
+    counts = {"systems": 0, "walks": 0}
+    system, walk = core._hom_system, decomp._basis_walk
+
+    def counted_system(m, n):
+        counts["systems"] += 1
+        return system(m, n)
+
+    def counted_walk(m, basis, factorizations):
+        counts["walks"] += 1
+        for phi, factors, generates in walk(m, basis, factorizations):
+            yield phi, factors, generates and generators
+
+    monkeypatch.setattr(core, "_hom_system", counted_system)
+    monkeypatch.setattr(decomp, "_basis_walk", counted_walk)
+    return counts
+
+
+def _call(op, m, seed):
+    rng = random.Random(seed)
+    return op(m, rng), rng.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_second_call_matches_one_call_on_a_fresh_copy(name, monkeypatch):
+    build, route = CASES[name]
+    counts = _counting(monkeypatch, route == "walk")
+    routes = []
+    frobenius, exhaustive = decomp._frobenius_blocks, decomp._idempotent_fallback
+    monkeypatch.setattr(decomp, "_frobenius_blocks", lambda m, basis: (
+        routes.append("frobenius") or (None if route == "exhaustive" else frobenius(m, basis))))
+    monkeypatch.setattr(decomp, "_idempotent_fallback", lambda m, basis: (
+        routes.append("exhaustive") or exhaustive(m, basis)))
+    for op_name, op in OPS.items():
+        counts.update(systems=0, walks=0)
+        m = build()
+        first = _call(op, m, 8)
+        assert counts["systems"] == 1, op_name
+        counts.update(systems=0, walks=0)
+        again = _call(op, m, 8)
+        # the kept End and verdict answer: no system, no walk, no block count
+        assert counts == {"systems": 0, "walks": 0}, op_name
+        assert again == first == _call(op, build(), 8), op_name
+    assert set(routes) == {"walk": set(), "frobenius": {"frobenius"},
+                           "exhaustive": {"frobenius", "exhaustive"}}[route]
+
+
+@pytest.mark.parametrize("index", [1, 9], ids=["dim-end-1", "dim-end-2"])
+def test_slope_twice_matches_one_call_on_a_fresh_copy(index, monkeypatch):
+    tub, m = _pool_module(index)
+    assert hom_dim(m, m) == (1 if index == 1 else 2)
+    counts = _counting(monkeypatch, True)
+    first = _call(lambda rep, rng: slope(rep, tub, rng), m, 9)
+    counts.update(systems=0, walks=0)
+    again = _call(lambda rep, rng: slope(rep, tub, rng), m, 9)
+    assert counts == {"systems": 0, "walks": 0}
+    fresh = _pool_module(index)[1]
+    assert again == first == _call(lambda rep, rng: slope(rep, tub, rng), fresh, 9)
+
+
+def test_a_certify_solves_end_once(monkeypatch):
+    """classify and then indecomposable_summands on one module: one End system."""
+    counts = _counting(monkeypatch, True)
+    m = conjugate(kron_jordan(kron(F5), 1, 3), random.Random(10))
+    rng = random.Random(11)
+    classify(m, rng)
+    assert len(indecomposable_summands(m, rng)) == 1
+    assert is_brick(m, rng) is False
+    assert len(hom_basis(m, m)) == hom_dim(m, m) == 3
+    assert counts == {"systems": 1, "walks": 2}
+
+
+def _changed_arrow(m):
+    m.arrows["x2"] = Matrix(F5, 1, 1, [[F5.coerce(3)]])
+
+
+def _changed_dims(m):
+    m.dims["0"] = 0
+    m.arrows = {a: Matrix.zeros(F5, 1, 0) for a in m.arrows}
+
+
+@pytest.mark.parametrize("change", [_changed_arrow, _changed_dims], ids=["arrow", "dims"])
+def test_a_changed_module_drops_every_kept_entry(change):
+    m = kron_point(kron(F5), 2)
+    pres = minimal_projective_presentation(m)
+    assert len(indecomposable_summands(m, random.Random(1))) == 1
+    assert is_brick(m, random.Random(2))
+    kept = core._derived_slot(m)
+    assert (kept.presentation, kept.leaf, kept.brick) == (pres, True, True)
+    assert len(kept.end) == 1
+    change(m)
+    fresh = core._derived_slot(m)
+    assert fresh is not kept
+    assert (fresh.presentation, fresh.end, fresh.leaf, fresh.brick) == (None,) * 4
+    expected = Representation(m.algebra, dict(m.dims), dict(m.arrows))
+    assert hom_dim(m, m) == len(hom_basis(m, m)) == hom_dim(expected, expected)
+    assert minimal_projective_presentation(m) is not pres
+    minimal_projective_presentation(m).cover.verify()
+
+
+def test_a_verdict_from_trials_keeps_nothing(monkeypatch):
+    """Over Q with no basis element taken as a generator, the local verdict
+    rests on the trials and the brick verdict on the probes: neither is kept,
+    and each call draws them again."""
+    _counting(monkeypatch, False)
+    candidates = []
+    real = decomp._candidates
+
+    def counted(basis, rng, trials):
+        candidates.append(trials)
+        return real(basis, rng, trials)
+
+    monkeypatch.setattr(decomp, "_candidates", counted)
+    for m, op, draws, expected in (
+            (conjugate(kron_jordan(kron(QQ), 1, 2), random.Random(12)),
+             lambda m, rng: len(indecomposable_summands(m, rng, 5)), 5, 1),
+            (_companion(QQ, (QQ.from_int(-2), 0, 1), 13),
+             lambda m, rng: is_brick(m, rng, 4), 4, True)):
+        results = [_call(op, m, 14) for _ in range(2)]
+        assert results[0] == results[1]
+        assert results[0][0] == expected
+        kept = core._derived_slot(m)
+        assert kept.leaf is None and kept.brick is None and len(kept.end) == 2
+        assert candidates == [draws, draws]
+        candidates.clear()
+
+
+def test_a_certified_module_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = conjugate(kron_jordan(kron(F5), 2, 2), random.Random(15))
+        rng = random.Random(16)
+        classify(m, rng)
+        is_brick(m, rng)
+        assert core._derived_slot(m).leaf and core._derived_slot(m).brick is False
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_solve_with_no_right_hand_column_eliminates_nothing(monkeypatch):
+    a = Matrix(F5, 3, 2, [[1, 2], [0, 1], [4, 4]])
+
+    def no_echelon(*args, **kwargs):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(Matrix, "_echelon", no_echelon)
+    assert a.solve(Matrix.zeros(F5, 3, 0)) == Matrix.zeros(F5, 2, 0)
+    with pytest.raises(DimensionMismatch):
+        a.solve(Matrix.zeros(F5, 2, 0))
+
+
+def test_left_certificates_reuse_the_universal_extensions_spaces(monkeypatch):
+    """One left approximation builds each Ext^1(S, kept) once, except for a mouth
+    that the universal extension dropped as an isomorphic duplicate."""
+    built = []
+    init = ExtSpace.__init__
+
+    def counted(self, n, m, pres=None):
+        built.append((n, m))
+        init(self, n, m, pres)
+
+    monkeypatch.setattr(ExtSpace, "__init__", counted)
+    alg = kron(QQ)
+    point = TubeId.for_point((QQ.zero, QQ.one))
+    for depth in (1, 2):
+        built.clear()
+        ap = left_omega_approx(projective_at(alg, "c"),
+                               TruncationParams((point, TubeId.for_point(None)), depth))
+        assert ap.certificates["ext_killed"]
+        pairs = [(id(n), id(m)) for n, m in built]
+        assert len(pairs) == len(set(pairs)), depth
