@@ -277,7 +277,7 @@ def right_omega_approx(m: Representation, params: TruncationParams,
     if not (tri.p_part.is_zero() and tri.t_part.is_zero()):
         raise ApproximationError(
             "right approximation needs all summands of positive defect",
-            {"p_dims": tri.p_part.dims, "t_dims": tri.t_part.dims})
+            {"p_dims": dict(tri.p_part.dims), "t_dims": dict(tri.t_part.dims)})
 
     mouths = mouth_modules(alg, params, rng)
     candidates = []   # (tube, socle, basis index, tower top, morphism)

@@ -8,6 +8,7 @@ Paths are tuples of arrow labels in traversal order (first arrow first).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -229,13 +230,9 @@ class QuiverAlgebra:
         vecs = []
         for j in range(ker.cols):
             col = [ker.data[i][j] for i in range(n)]
-            denom = 1
-            for x in col:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = math.lcm(*(x.denominator for x in col))
             ints = [int(x * denom) for x in col]
-            g = 0
-            for x in ints:
-                g = _gcd(g, abs(x))
+            g = math.gcd(*ints)
             if g:
                 ints = [x // g for x in ints]
             if sum(ints) < 0:
@@ -266,12 +263,6 @@ class QuiverAlgebra:
             and self.arrows == other.arrows
             and self.relations == other.relations
         )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 SOURCE = "0"

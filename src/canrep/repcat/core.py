@@ -30,13 +30,14 @@ past f_v give the unit vectors e_C completing the column space
 [B | e_C]^-1, whose last rows are ``cokernel``'s projection.  ``pushout``
 reads its maps off that projection and e_C (``_cokernel``).
 
-``projective_at`` and ``injective_at`` build each P(v) and I(v) once per
-algebra and keep it in ``algebra.module_cache``; every later call returns the
-same object.  Cached modules are shared values: no caller may change them.
+A module is an immutable value: ``dims`` and ``arrows`` are read-only
+mappings of immutable matrices, and ``algebra``, ``dims`` and ``arrows`` cannot
+be rebound.  So ``projective_at`` and ``injective_at`` build each P(v) and I(v)
+once per algebra, keep it in ``algebra.module_cache`` and return the same
+object on every later call.
 
-Each module has one slot of derived data (``_derived_slot``), valid for as
-long as the module's dims and arrow matrices stay the ones it was derived
-from; any change empties the whole slot on the next read.  It keeps:
+Each module has one slot of derived data (``_derived_slot``), made on first
+read.  It keeps:
 
 - the minimal projective presentation, built once by
   ``minimal_projective_presentation``.  Its P1 is built on first read, so only
@@ -59,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 
 from ..errors import AlgebraError, DimensionMismatch
 from ..exactla import Matrix
@@ -67,27 +69,37 @@ from ..quiver_algebra import QuiverAlgebra
 
 
 class Representation:
-    """Per-vertex dimensions plus one matrix per arrow (target x source)."""
+    """Per-vertex dimensions plus one matrix per arrow (target x source).
+
+    Immutable: ``dims`` and ``arrows`` are read-only mappings, and assigning
+    ``algebra``, ``dims`` or ``arrows`` raises AttributeError.
+    """
 
     _derived = None     # the _Derived slot, made on first read by _derived_slot
 
     def __init__(self, algebra: QuiverAlgebra, dims: dict, arrow_matrices: dict,
                  check: bool = True):
-        self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
-        if any(d < 0 for d in self.dims.values()):
+        dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        if any(d < 0 for d in dims.values()):
             raise DimensionMismatch("negative dimension")
-        self.arrows = {}
+        arrows = {}
         for a in algebra.arrows:
             mat = arrow_matrices.get(a.label)
             if mat is None:
-                mat = Matrix.zeros(algebra.field, self.dims[a.target], self.dims[a.source])
-            if mat.rows != self.dims[a.target] or mat.cols != self.dims[a.source]:
+                mat = Matrix.zeros(algebra.field, dims[a.target], dims[a.source])
+            if mat.rows != dims[a.target] or mat.cols != dims[a.source]:
                 raise DimensionMismatch(
-                    f"arrow {a.label}: expected {self.dims[a.target]}x{self.dims[a.source]}")
-            self.arrows[a.label] = mat
+                    f"arrow {a.label}: expected {dims[a.target]}x{dims[a.source]}")
+            arrows[a.label] = mat
+        self.__dict__.update(algebra=algebra, dims=MappingProxyType(dims),
+                             arrows=MappingProxyType(arrows))
         if check:
             self.verify_relations()
+
+    def __setattr__(self, name, value):
+        if name in ("algebra", "dims", "arrows"):
+            raise AttributeError(f"a Representation's {name} cannot be changed")
+        object.__setattr__(self, name, value)
 
     @property
     def field(self):
@@ -129,26 +141,21 @@ class Representation:
 
 
 class _Derived:
-    """Data derived from one module's dims and arrow matrices (see the module
-    docstring): its presentation, End's kernel columns, and the exact leaf and
-    brick verdicts, each None until computed."""
+    """Data derived from one module (see the module docstring): its
+    presentation, End's kernel columns, and the exact leaf and brick verdicts,
+    each None until computed."""
 
-    __slots__ = ("dims", "arrows", "presentation", "end", "leaf", "brick")
+    __slots__ = ("presentation", "end", "leaf", "brick")
 
-    def __init__(self, m: Representation):
-        self.dims = dict(m.dims)
-        self.arrows = tuple(m.arrows.values())
+    def __init__(self):
         self.presentation = self.end = self.leaf = self.brick = None
 
 
 def _derived_slot(m: Representation) -> _Derived:
-    """m's derived-data slot, emptied when m's dims or arrow matrices are not the
-    ones it was derived from; matrices are immutable, so arrows are checked by
-    identity."""
+    """m's derived-data slot, made on first read."""
     kept = m._derived
-    if (kept is None or kept.dims != m.dims
-            or any(a is not b for a, b in zip(kept.arrows, m.arrows.values()))):
-        kept = m._derived = _Derived(m)
+    if kept is None:
+        kept = m._derived = _Derived()
     return kept
 
 
@@ -591,7 +598,7 @@ def dualize(rep: Representation, into_algebra) -> Representation:
     arrows = {}
     for a in into_algebra.arrows:
         arrows[a.label] = rep.arrows[a.label].transpose()
-    return Representation(into_algebra, dict(rep.dims), arrows)
+    return Representation(into_algebra, rep.dims, arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +727,7 @@ class Presentation:
 
 def minimal_projective_presentation(m: Representation) -> Presentation:
     """The presentation of m, built on the first call and kept in m's
-    derived-data slot; any change to m's dims or arrow matrices makes the next
-    call build afresh."""
+    derived-data slot."""
     kept = _derived_slot(m)
     if kept.presentation is None:
         kept.presentation = _build_presentation(m)

@@ -73,7 +73,6 @@ from .core import (
     Morphism,
     Representation,
     _derived_slot,
-    coordinates_in_hom_basis,
     hom_basis,
     hom_dim,
     image,
@@ -478,21 +477,6 @@ def is_isomorphic(m: Representation, n: Representation, rng=None) -> Morphism | 
 # ---------------------------------------------------------------------------
 # endomorphism structure
 # ---------------------------------------------------------------------------
-
-def end_algebra_structure(m: Representation):
-    """(basis, table) with table[i][j] = coordinates of basis_i o basis_j."""
-    basis = hom_basis(m, m)
-    table = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            coords = coordinates_in_hom_basis(bi.after(bj), basis)
-            if coords is None:
-                raise DecompositionError("End is not closed under composition")
-            row.append(coords)
-        table.append(row)
-    return basis, table
-
 
 def is_brick(m: Representation, rng=None, probes: int = 32) -> bool:
     """True iff End(m) is a division algebra.

@@ -11,8 +11,7 @@ tau-orbit of the full rank.
 Each tube's mouth orbit and, per (tube, socle), the longest uniserial tower
 built so far are kept in ``alg.module_cache``, so they are built and
 certified once per algebra; the cache is keyed on tube ids, never on a
-caller's module.  Calls return fresh lists of shared modules, which no caller
-may change.
+caller's module.  Calls return fresh lists of the shared modules.
 """
 
 from __future__ import annotations

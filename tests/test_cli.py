@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +137,20 @@ def test_exit_codes(files, capsys):
     code, out = run(capsys, ["classify", "--rep", files["mix"]])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "domain"
+
+
+def test_right_approximation_of_a_non_positive_module_reports_its_parts(capsys):
+    # P(0) of (2, 2, 2) has defect -1: the domain error carries the dims of the
+    # P and T parts of its split trisection as plain JSON objects
+    rep = str(Path(__file__).parent / "data" / "golden" / "w222_p0.json")
+    code, out = run(capsys, ["omega-right", "--seed", "1", "--rep", rep,
+                             "--tubes", "arm:1", "--depth", "1"])
+    assert code == 1
+    assert out == (
+        '{"canrep_format":1,"error":{"diagnostic":{'
+        '"p_dims":{"0":1,"1.1":1,"2.1":1,"3.1":1,"c":2},'
+        '"t_dims":{"0":0,"1.1":0,"2.1":0,"3.1":0,"c":0}},"kind":"domain",'
+        '"message":"right approximation needs all summands of positive defect"}}\n')
 
 
 @pytest.mark.parametrize("weight", [2, 3])

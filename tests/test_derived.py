@@ -1,5 +1,7 @@
 """The derived-data slot a module keeps (``repcat.core._derived_slot``): its
-presentation, End's basis and the exact leaf and brick verdicts.
+presentation, End's basis and the exact leaf and brick verdicts.  Modules
+cannot change (read-only ``dims`` and ``arrows``, which cannot be rebound), so
+the slot is never stale; every construction path is checked for that.
 
 Oracles: the same call on an equal fresh copy of the module (answer and rng
 state), counts of the commuting-square systems and basis walks a call makes,
@@ -14,21 +16,32 @@ import pytest
 
 from canrep.errors import DimensionMismatch
 from canrep.exactla import Matrix, companion_matrix
-from canrep.homology import ExtSpace
+from canrep.homology import ExtSpace, tau
 from canrep.approx import TruncationParams, left_omega_approx
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Representation,
+    cokernel,
     core,
     decomp,
+    direct_sum,
+    dualize,
     hom_basis,
     hom_dim,
+    image,
     indecomposable_summands,
+    injective_at,
     is_brick,
+    kernel,
     minimal_projective_presentation,
     projective_at,
+    projective_cover,
+    radical,
+    simple_at,
+    zero_representation,
 )
-from canrep.trisection import TubeId, classify
+from canrep.serialize import rep_from_json, rep_to_json
+from canrep.trisection import TubeId, classify, uniserial_tower
 from canrep.tubular_slopes import TubularAlgebra, canonical_family_pool, slope
 
 from helpers import F3, F5, QQ, conjugate, kron, kron_jordan, kron_point
@@ -152,32 +165,71 @@ def test_a_certify_solves_end_once(monkeypatch):
     assert counts == {"systems": 1, "walks": 2}
 
 
-def _changed_arrow(m):
-    m.arrows["x2"] = Matrix(F5, 1, 1, [[F5.coerce(3)]])
+def _tower_layer(index):
+    alg = kron(F5)
+    tower = uniserial_tower(alg, TubeId.for_point((F5.coerce(2), F5.one)), 0, 2,
+                            random.Random(18))
+    return tower.layers[index]
 
 
-def _changed_dims(m):
-    m.dims["0"] = 0
-    m.arrows = {a: Matrix.zeros(F5, 1, 0) for a in m.arrows}
+def _jordan_cover():
+    """The projective cover P0 -> m of a Jordan block m (dims 2, 2)."""
+    return projective_cover(kron_jordan(kron(F5), 2, 2))[1]
 
 
-@pytest.mark.parametrize("change", [_changed_arrow, _changed_dims], ids=["arrow", "dims"])
-def test_a_changed_module_drops_every_kept_entry(change):
-    m = kron_point(kron(F5), 2)
+# the kept verdicts (classify is left out: it takes indecomposables over
+# canonical algebras only)
+VERDICTS = {name: OPS[name] for name in ("indecomposable_summands", "is_brick")}
+
+# one module per way the library builds one
+BUILDERS = {
+    "projective_at": lambda: projective_at(kron(F5), "0"),
+    "injective_at": lambda: injective_at(kron(F5), "c"),
+    "simple_at": lambda: simple_at(kron(F5), "0"),
+    "zero_representation": lambda: zero_representation(kron(F5)),
+    "kernel": lambda: kernel(_jordan_cover())[0],
+    "cokernel": lambda: cokernel(kernel(_jordan_cover())[1])[0],
+    "image": lambda: image(_jordan_cover())[0],
+    "radical": lambda: radical(kron_jordan(kron(F5), 2, 2))[0],
+    "direct_sum": lambda: direct_sum([kron_point(kron(F5), 1), simple_at(kron(F5), "0")]).rep,
+    "dualize": lambda: dualize(kron_point(kron(F5), 2), kron(F5).opposite()),
+    "tau": lambda: tau(kron_jordan(kron(F5), 1, 2)),
+    "tower-layer-1": lambda: _tower_layer(0),
+    "tower-layer-2": lambda: _tower_layer(1),
+    "rep_from_json": lambda: rep_from_json(rep_to_json(kron_jordan(kron(F5), 3, 2))),
+}
+
+
+def _presentation(m):
     pres = minimal_projective_presentation(m)
-    assert len(indecomposable_summands(m, random.Random(1))) == 1
-    assert is_brick(m, random.Random(2))
-    kept = core._derived_slot(m)
-    assert (kept.presentation, kept.leaf, kept.brick) == (pres, True, True)
-    assert len(kept.end) == 1
-    change(m)
-    fresh = core._derived_slot(m)
-    assert fresh is not kept
-    assert (fresh.presentation, fresh.end, fresh.leaf, fresh.brick) == (None,) * 4
-    expected = Representation(m.algebra, dict(m.dims), dict(m.arrows))
-    assert hom_dim(m, m) == len(hom_basis(m, m)) == hom_dim(expected, expected)
-    assert minimal_projective_presentation(m) is not pres
-    minimal_projective_presentation(m).cover.verify()
+    return pres.p0.summand_vertices, pres.omega.dims, pres.cover.maps
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_module_refuses_every_write(name):
+    m = BUILDERS[name]()
+    pres = minimal_projective_presentation(m)
+    verdicts = {op_name: _call(op, m, 8) for op_name, op in VERDICTS.items()}
+    slot = core._derived_slot(m)
+    v, a = m.algebra.vertices[0], m.algebra.arrows[0]
+    with pytest.raises(TypeError):
+        m.dims[v] = m.dims[v] + 1
+    with pytest.raises(TypeError):
+        m.arrows[a.label] = Matrix.zeros(F5, m.dims[a.target], m.dims[a.source])
+    with pytest.raises(AttributeError):
+        m.dims = {}
+    with pytest.raises(AttributeError):
+        m.arrows = {}
+    with pytest.raises(AttributeError):
+        m.algebra = kron(F5)
+    assert core._derived_slot(m) is slot and minimal_projective_presentation(m) is pres
+
+    def fresh():
+        return Representation(m.algebra, dict(m.dims), dict(m.arrows))
+
+    assert _presentation(m) == _presentation(fresh())
+    for op_name, op in VERDICTS.items():
+        assert verdicts[op_name] == _call(op, m, 8) == _call(op, fresh(), 8), op_name
 
 
 def test_a_verdict_from_trials_keeps_nothing(monkeypatch):
