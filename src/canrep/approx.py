@@ -28,10 +28,8 @@ from .repcat import (
     Morphism,
     Representation,
     block_diagonal,
-    cokernel,
     direct_sum,
     factor_through_injection,
-    factor_through_surjection,
     find_injective_morphism,
     from_sum,
     hom_basis,
@@ -41,9 +39,9 @@ from .repcat import (
     minimal_projective_presentation,
     span_coordinates,
 )
+from .repcat.core import _cokernel
 from .trisection import (
     TrisectLabel,
-    TubeId,
     regular_simples,
     split_trisect,
     torsion_part,
@@ -76,10 +74,9 @@ def mouth_modules(alg: CanonicalAlgebra, params: TruncationParams, rng=None):
     out, seen = [], set()
     for tube in params.tubes:
         validate_tube(alg, tube)
-        key = _tube_key(tube)
-        if key in seen:
+        if tube in seen:
             continue
-        seen.add(key)
+        seen.add(tube)
         for idx, s in enumerate(regular_simples(alg, tube, rng)):
             out.append((tube, idx, s))
     return out
@@ -116,16 +113,12 @@ class LeftApproximation:
     stripped: Representation          # the removed positive-defect part
     params: TruncationParams
     blocks: list                      # [(tube, socle index)] per tower block
-    multiplicities: dict              # (tube key) -> [d_S per socle]
+    multiplicities: dict              # TubeId -> [d_S per socle]
     certificates: dict
 
     @property
     def middle(self) -> Representation:
         return self.sequence.middle
-
-
-def _tube_key(tube: TubeId):
-    return (tube.kind, tube.arm, tube.poly)
 
 
 def left_omega_approx(m: Representation, params: TruncationParams,
@@ -151,7 +144,7 @@ def left_omega_approx(m: Representation, params: TruncationParams,
     blocks = []
     towers = []
     for (tube, idx, s), d in zip(mouths, ue.multiplicities):
-        mult_by_tube.setdefault(_tube_key(tube), []).append(d)
+        mult_by_tube.setdefault(tube, []).append(d)
         for _ in range(d):
             blocks.append((tube, idx))
             towers.append(uniserial_tower(alg, tube, idx, params.depth, rng))
@@ -315,9 +308,12 @@ def right_omega_approx(m: Representation, params: TruncationParams,
         final = ShortExactSequence(ker_rep, cover, m, ker_incl, g).verify()
     else:
         inside = ker_incl.after(torsion.inclusion)
-        n_quot, n_proj = cokernel(inside)
-        g2 = factor_through_surjection(n_proj, g)
-        if g2 is None:
+        # the quotient's basis is the unit vectors e_C, so g, which kills the
+        # torsion, factors through it as g's columns at e_C
+        n_quot, n_proj, comps = _cokernel(inside)
+        g2 = Morphism(n_quot, m, {v: g.maps[v].select_columns(comps[v]) for v in alg.vertices},
+                      check=False)
+        if g2.after(n_proj) != g:
             raise ApproximationError("quotient cover construction failed")
         k2, k2_incl = kernel(g2)
         final = ShortExactSequence(k2, n_quot, m, k2_incl, g2).verify()

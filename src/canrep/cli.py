@@ -170,8 +170,8 @@ def cmd_omega_left(args):
     return {
         "sequence": ses_to_json(ap.sequence),
         "stripped": rep_to_json(ap.stripped, include_algebra=False),
-        "multiplicities": {TubeId(*key).to_str(m.algebra.field): mults
-                           for key, mults in ap.multiplicities.items()},
+        "multiplicities": {tube.to_str(m.algebra.field): mults
+                           for tube, mults in ap.multiplicities.items()},
         "certificates": ap.certificates,
     }
 

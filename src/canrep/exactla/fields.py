@@ -445,7 +445,10 @@ def field_from_spec(spec: dict):
     if kind not in ("Fp", "Fpt"):
         raise ParseError(f"unknown field kind {kind!r}")
     try:
-        p = int(spec["p"])
+        p = spec["p"]
+        if isinstance(p, (bool, float)):    # int() would read 5.9 as 5 and true as 1
+            raise TypeError(f"{p!r} is not an integer")
+        p = int(p)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad modulus for field kind {kind!r}: {exc}") from exc
     return PrimeField(p) if kind == "Fp" else FunctionField(PrimeField(p))

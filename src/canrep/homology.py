@@ -78,8 +78,13 @@ class ShortExactSequence:
 
 
 def split_sequence(m: Representation, n: Representation) -> ShortExactSequence:
-    ds = direct_sum([m, n])
-    return ShortExactSequence(m, ds.rep, n, ds.injections[0], ds.projections[1]).verify()
+    """0 -> m -> m (+) n -> n -> 0: the inclusion is id_m (+) (0 -> n), the
+    projection is (0, id_n)."""
+    total = direct_sum([m, n]).rep
+    incl = block_diagonal(m, total, [Morphism.identity(m),
+                                     Morphism.zero(zero_representation(m.algebra), n)])
+    proj = from_sum(total, n, [Morphism.zero(m, n), Morphism.identity(n)])
+    return ShortExactSequence(m, total, n, incl, proj).verify()
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +293,24 @@ def pushout(f: Morphism, ses: ShortExactSequence) -> ShortExactSequence:
 
 
 def pullback(g: Morphism, ses: ShortExactSequence) -> ShortExactSequence:
-    """Induced sequence along g: N' -> quotient."""
+    """Induced sequence 0 -> sub -> E' -> N' -> 0 along g: N' -> quotient (verified).
+
+    E' is the kernel of (projection, -g): middle (+) N' -> quotient.  The sub
+    enters it as inclusion (+) (0 -> N'), factored through the kernel, and E'
+    leaves onto N' by (0, id_N') after the kernel inclusion."""
     if g.target.dims != ses.quotient.dims:
         raise DimensionMismatch("pullback map must end at the quotient")
-    ds = direct_sum([ses.middle, g.source])
-    mixed = ses.projection.after(ds.projections[0]) - g.after(ds.projections[1])
+    n, F = g.source, g.source.field
+    pair = direct_sum([ses.middle, n]).rep
+    mixed = from_sum(pair, ses.quotient, [ses.projection, g.scale(F.neg(F.one))])
     middle, incl_total = kernel(mixed)
-    into_pair = ds.injections[0].after(ses.inclusion)
+    into_pair = block_diagonal(ses.sub, pair, [ses.inclusion,
+                                               Morphism.zero(zero_representation(n.algebra), n)])
     incl = factor_through_injection(incl_total, into_pair)
     if incl is None:
         raise AlgebraError("pullback inclusion failed")
-    proj = ds.projections[1].after(incl_total)
-    return ShortExactSequence(ses.sub, middle, g.source, incl, proj).verify()
+    onto_n = from_sum(pair, n, [Morphism.zero(ses.middle, n), Morphism.identity(n)])
+    return ShortExactSequence(ses.sub, middle, n, incl, onto_n.after(incl_total)).verify()
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ morphism in a span is ``span_coordinates`` (flattened morphisms as columns,
 one solve) followed by ``linear_combination`` (rebuild the sum from the
 coefficients).  Certifying a decomposition is ``sum_onto``: the direct sum of
 the pieces, the map that is each piece's morphism on its summand, and that
-map's inverse.  Maps into, out of and between direct sums are built from
-blocks: ``from_sum`` (X_1 (+) ... (+) X_n -> Y, one horizontal stack per
-vertex) and ``block_diagonal`` (f_1 (+) ... (+) f_n), never as a sum of
-injection-map-projection composites.  How a sum lays out its summands is
-decided once, in ``direct_sum`` (``DirectSum.offsets``).
+map's inverse.  Every map into, out of and between direct sums, across the
+package, is built from blocks: ``from_sum`` (X_1 (+) ... (+) X_n -> Y, one
+horizontal stack per vertex) and ``block_diagonal`` (f_1 (+) ... (+) f_n).
+No biproduct morphisms exist: a sum keeps only its layout, decided once in
+``direct_sum`` (``DirectSum.offsets``), and an injection or a projection is a
+block map with identity and zero blocks.
 
 Sub-representations, images and quotients are each read off one reduced form.
 ``_subrep`` turns per-vertex column bases into a sub-representation and its
@@ -27,8 +28,9 @@ columns) and its epi (the top rows) from one rref of f_v.  ``_unit_complement``
 eliminates [f_v | I] once, back-substituting the right block only: its pivots
 past f_v give the unit vectors e_C completing the column space
 (``projective_cover``'s generators), and its reduced right block is
-[B | e_C]^-1, whose last rows are ``cokernel``'s projection.  ``pushout``
-reads its maps off that projection and e_C (``_cokernel``).
+[B | e_C]^-1, whose last rows are ``cokernel``'s projection.  ``pushout`` and
+the right omega-approximation's quotient cover read their maps off that
+projection and e_C (``_cokernel``).
 
 A module is an immutable value: ``dims`` and ``arrows`` are read-only
 mappings of immutable matrices, and ``algebra``, ``dims`` and ``arrows`` cannot
@@ -359,48 +361,27 @@ def linear_combination(source, target, basis, coeffs) -> Morphism:
     return f
 
 
-def coordinates_in_hom_basis(f: Morphism, basis: list[Morphism]):
-    """Coefficients of f over a hom-space basis, or None if outside the span."""
-    return span_coordinates(f.source.field, [b.flatten() for b in basis], f.flatten())
-
-
 # ---------------------------------------------------------------------------
 # direct sums
 # ---------------------------------------------------------------------------
 
+@dataclass
 class DirectSum:
-    """X_1 (+) ... (+) X_n laid out block by block.
+    """X_1 (+) ... (+) X_n laid out block by block: ``offsets[i][v]`` is where
+    summand i starts inside the v-component of ``rep``, computed once by
+    ``direct_sum``.  A sum keeps no biproduct morphisms: maps into, out of and
+    between sums are built from blocks (``from_sum``, ``block_diagonal``)."""
 
-    ``offsets[i][v]`` is where summand i starts inside the v-component of
-    ``rep``; ``direct_sum`` computes it once.  The 0/1 biproduct maps
-    ``injections`` and ``projections`` are built from it on first read, so a
-    caller that reads only ``rep`` never builds them.
-    """
-
-    def __init__(self, rep: Representation, parts: list, offsets: list):
-        self.rep = rep
-        self.offsets = offsets
-        self._parts = parts
-
-    @cached_property
-    def injections(self) -> list:
-        ids = {v: Matrix.identity(self.rep.field, d) for v, d in self.rep.dims.items()}
-        return [Morphism(p, self.rep, {v: ids[v].select_columns(range(off[v], off[v] + d))
-                                       for v, d in p.dims.items()}, check=False)
-                for p, off in zip(self._parts, self.offsets)]
-
-    @cached_property
-    def projections(self) -> list:
-        return [Morphism(self.rep, inj.source, {v: m.transpose() for v, m in inj.maps.items()},
-                         check=False) for inj in self.injections]
+    rep: Representation
+    offsets: list
 
 
 def direct_sum(parts: list[Representation], algebra=None) -> DirectSum:
-    """Block-diagonal sum with injections/projections satisfying biproduct laws."""
+    """X_1 (+) ... (+) X_n: the block-diagonal sum of parts, with its layout."""
     if not parts:
         if algebra is None:
             raise AlgebraError("empty direct sum needs an explicit algebra")
-        return DirectSum(zero_representation(algebra), [], [])
+        return DirectSum(zero_representation(algebra), [])
     alg = parts[0].algebra
     F = parts[0].field
     offsets = []
@@ -411,7 +392,7 @@ def direct_sum(parts: list[Representation], algebra=None) -> DirectSum:
             acc[v] += p.dims[v]
     arrows = {a.label: Matrix.block_diag(F, [p.arrows[a.label] for p in parts])
               for a in alg.arrows}
-    return DirectSum(Representation(alg, acc, arrows, check=False), list(parts), offsets)
+    return DirectSum(Representation(alg, acc, arrows, check=False), offsets)
 
 
 def from_sum(source: Representation, target: Representation, parts: list) -> Morphism:
@@ -629,12 +610,11 @@ def top(m: Representation):
 
 
 @dataclass
-class ProjSum:
-    """Direct sum of indecomposable projectives with summand bookkeeping."""
+class ProjSum(DirectSum):
+    """P(v_1) (+) ... (+) P(v_n), a sum of indecomposable projectives, with
+    summand_vertices[i] = v_i."""
 
-    rep: Representation
     summand_vertices: list
-    offsets: list  # offsets[i][v] = start of summand i inside the v-component
 
     def generator_coordinate(self, i: int) -> int:
         v = self.summand_vertices[i]
@@ -644,7 +624,7 @@ class ProjSum:
 
 def projective_sum(algebra, vertices) -> ProjSum:
     ds = direct_sum([projective_at(algebra, v) for v in vertices], algebra)
-    return ProjSum(ds.rep, list(vertices), ds.offsets)
+    return ProjSum(ds.rep, ds.offsets, list(vertices))
 
 
 def morphism_from_projective(algebra, w, target: Representation, gen_vector) -> Morphism:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import AlgebraError, ChainError, ParseError, TubeError
 from .exactla import Matrix
@@ -34,6 +35,7 @@ from .trisection import TubeId, regular_simples, uniserial_tower
 TUBULAR_TYPES = {(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)}
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Slope:
     """A point of Q+ together with the endpoints 0 and ∞."""
@@ -59,15 +61,6 @@ class Slope:
         if other.infinite:
             return True
         return self.value < other.value
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return other < self
-
-    def __ge__(self, other):
-        return other <= self
 
     def __str__(self):
         return "∞" if self.infinite else str(self.value)

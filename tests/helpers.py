@@ -10,6 +10,7 @@ from canrep.repcat import (
     Representation,
     cokernel,
     direct_sum,
+    factor_through_injection,
     factor_through_surjection,
     hom_basis,
     kernel,
@@ -114,9 +115,25 @@ def _sum_of_composites(source, target, composites):
     return total
 
 
+def biproduct_maps(parts, algebra=None):
+    """(sum, injections, projections) of X_1 (+) ... (+) X_n: the 0/1 biproduct
+    maps, injection i the identity's columns at direct_sum(...).offsets[i] and
+    projection i its transpose.  Built without from_sum or block_diagonal, which
+    they serve to check."""
+    ds = direct_sum(parts, algebra)
+    total = ds.rep
+    ids = {v: Matrix.identity(total.field, d) for v, d in total.dims.items()}
+    injs = [Morphism(p, total, {v: ids[v].select_columns(range(off[v], off[v] + d))
+                                for v, d in p.dims.items()})
+            for p, off in zip(parts, ds.offsets)]
+    projs = [Morphism(total, inj.source, {v: m.transpose() for v, m in inj.maps.items()})
+             for inj in injs]
+    return total, injs, projs
+
+
 def reference_from_sum(source, target, parts):
     """sum_i f_i o proj_i over the biproduct projections of the sum of the sources."""
-    projs = direct_sum([f.source for f in parts], source.algebra).projections
+    _, _, projs = biproduct_maps([f.source for f in parts], source.algebra)
     return _sum_of_composites(source, target,
                               [f.after(proj) for f, proj in zip(parts, projs)])
 
@@ -124,8 +141,8 @@ def reference_from_sum(source, target, parts):
 def reference_block_diagonal(source, target, parts):
     """sum_i inj_i o f_i o proj_i: f_1 (+) ... (+) f_n from the biproduct maps."""
     alg = source.algebra
-    projs = direct_sum([f.source for f in parts], alg).projections
-    injs = direct_sum([f.target for f in parts], alg).injections
+    _, _, projs = biproduct_maps([f.source for f in parts], alg)
+    _, injs, _ = biproduct_maps([f.target for f in parts], alg)
     return _sum_of_composites(source, target, [inj.after(f).after(proj)
                                                for inj, f, proj in zip(injs, parts, projs)])
 
@@ -213,12 +230,23 @@ def reference_pushout(f, ses):
     """The pushout along f through the biproduct maps: glue and the inclusion
     composed with the injections of f.target (+) ses.middle, the quotient map
     with its second projection, and the projection solved through the cokernel."""
-    ds = direct_sum([f.target, ses.middle])
-    glue = ds.injections[0].after(f) - ds.injections[1].after(ses.inclusion)
+    _, injs, projs = biproduct_maps([f.target, ses.middle])
+    glue = injs[0].after(f) - injs[1].after(ses.inclusion)
     middle, quot = cokernel(glue)
-    incl = quot.after(ds.injections[0])
-    proj = factor_through_surjection(quot, ses.projection.after(ds.projections[1]))
+    incl = quot.after(injs[0])
+    proj = factor_through_surjection(quot, ses.projection.after(projs[1]))
     return ShortExactSequence(f.target, middle, ses.quotient, incl, proj).verify()
+
+
+def reference_pullback(g, ses):
+    """The pullback along g through the biproduct maps: the kernel of
+    projection o proj_0 - g o proj_1 on ses.middle (+) g.source, the sub entering
+    by inj_0 o inclusion solved through the kernel inclusion, and proj_1 after it."""
+    _, injs, projs = biproduct_maps([ses.middle, g.source])
+    middle, incl_total = kernel(ses.projection.after(projs[0]) - g.after(projs[1]))
+    incl = factor_through_injection(incl_total, injs[0].after(ses.inclusion))
+    return ShortExactSequence(ses.sub, middle, g.source, incl,
+                              projs[1].after(incl_total)).verify()
 
 
 def reference_kills_classes(space, inclusion):

@@ -245,13 +245,18 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     (_rep_text(KRON_QT, arrows='{"x1": [["(t)/(0)"]]}'), "rep"),  # a zero polynomial denominator
     (_rep_text(KRON_QT, arrows='{"x1": [["1/0"]]}'), "rep"),      # a zero rational denominator
     (_rep_text(KRON_F5T, arrows='{"x1": [["1/2"]]}'), "rep"),     # a fraction over F_p(t)
+    ('{"field": {"kind": "Fp", "p": 5.9}, "weights": [], "params": []}', "algebra"),
+    ('{"field": {"kind": "Fp", "p": true}, "weights": [], "params": []}', "algebra"),
+    ('{"field": {"kind": "Fpt", "p": 5.9}, "weights": [], "params": []}', "algebra"),
+    ('{"field": {"kind": "Fpt", "p": true}, "weights": [], "params": []}', "algebra"),
 ], ids=["rep-array", "algebra-number", "bad-dims", "inline-algebra-number",
         "arrows-array", "modulus-string", "matrix-number", "weight-string", "unknown-vertex",
         "dim-fraction", "dim-bool", "dim-negative", "weight-bool",
         "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
         "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan",
         "no-dims", "algebra-as-rep", "qt-zero-poly-denominator", "qt-zero-denominator",
-        "fpt-fraction"])
+        "fpt-fraction", "fp-modulus-float", "fp-modulus-bool", "fpt-modulus-float",
+        "fpt-modulus-bool"])
 def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     bad = files["tmp"] / "bad.json"
     bad.write_text(text)

@@ -12,7 +12,9 @@ from canrep.homology import (
     ext1_dim,
     ext2_dim,
     kills_classes,
+    pullback,
     pushout,
+    split_sequence,
     tau,
     universal_extension,
 )
@@ -46,6 +48,7 @@ from helpers import (
     F3,
     F5,
     QQ,
+    biproduct_maps,
     conjugate,
     kron,
     kron_point,
@@ -56,6 +59,7 @@ from helpers import (
     reference_kills_classes,
     reference_p0_image_columns,
     reference_presentation,
+    reference_pullback,
     reference_pushout,
 )
 
@@ -226,6 +230,38 @@ def test_pushout_matches_the_biproduct_reference():
                     assert got.projection.maps == ref.projection.maps
                     pushed += not f.is_zero()
     assert pushed >= 20
+
+
+def test_pullback_and_split_sequence_match_the_biproduct_references():
+    # split sequences of each ordered pair; pullbacks of each presentation
+    # sequence and realized extension along zero, identity, basis and random maps
+    rng = random.Random(24)
+    pulled = 0
+    for alg, reps in conjugated_samples(24, 2):
+        for n, m in itertools.product(reps, repeat=2):
+            split = split_sequence(m, n)
+            total, injs, projs = biproduct_maps([m, n], alg)
+            assert split.middle.dims == total.dims and split.middle.arrows == total.arrows
+            assert split.inclusion.maps == injs[0].maps
+            assert split.projection.maps == projs[1].maps
+            pres = minimal_projective_presentation(n)
+            seqs = [ShortExactSequence(pres.omega, pres.p0.rep, n, pres.omega_incl,
+                                       pres.cover)]
+            seqs += [cls.realize() for cls in ExtSpace(n, m).basis()[:2]]
+            basis = hom_basis(m, n)
+            maps = [Morphism.zero(m, n), *basis[:2],
+                    linear_combination(m, n, basis, [alg.field.random(rng) for _ in basis])]
+            if m is n:
+                maps.append(Morphism.identity(n))
+            for ses in seqs:
+                for g in maps:
+                    got, ref = pullback(g, ses), reference_pullback(g, ses)
+                    assert got.middle.dims == ref.middle.dims
+                    assert got.middle.arrows == ref.middle.arrows
+                    assert got.inclusion.maps == ref.inclusion.maps
+                    assert got.projection.maps == ref.projection.maps
+                    pulled += not g.is_zero()
+    assert pulled >= 20
 
 
 def test_identity_acts_on_the_syzygy_up_to_the_p0_image():

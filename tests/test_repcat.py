@@ -12,7 +12,6 @@ from canrep.repcat import (
     Morphism,
     block_diagonal,
     cokernel,
-    coordinates_in_hom_basis,
     decompose,
     direct_sum,
     factor_through_injection,
@@ -42,6 +41,7 @@ from helpers import (
     F2,
     F5,
     QQ,
+    biproduct_maps,
     brute_force_hom_dim,
     conjugate,
     kron,
@@ -162,11 +162,12 @@ def test_direct_sum_laws():
     s = direct_sum([m, zero_representation(alg)])
     assert is_isomorphic(s.rep, m) is not None
     n = projective_at(alg, "0")
-    ds = direct_sum([m, n])
-    assert ds.rep.dims == {v: m.dims[v] + n.dims[v] for v in alg.vertices}
+    total, injs, projs = biproduct_maps([m, n])
+    assert total.dims == {v: m.dims[v] + n.dims[v] for v in alg.vertices}
     # biproduct identities
-    for i, (inj, proj) in enumerate(zip(ds.injections, ds.projections)):
+    for i, (inj, proj) in enumerate(zip(injs, projs)):
         assert proj.after(inj) == Morphism.identity([m, n][i])
+    assert injs[0].after(projs[0]) + injs[1].after(projs[1]) == Morphism.identity(total)
 
 
 def test_direct_sum_offsets():
@@ -180,13 +181,17 @@ def test_direct_sum_offsets():
     assert direct_sum([], alg).offsets == []
     ps = projective_sum(alg, ["0", "c", "0"])
     assert ps.offsets == direct_sum([projective_at(alg, v) for v in ("0", "c", "0")]).offsets
-    # injection i is the identity block at rows offsets[i][v], projection i its transpose
-    for i, (inj, proj) in enumerate(zip(ds.injections, ds.projections)):
-        for v in alg.vertices:
-            o, d = ds.offsets[i][v], parts[i].dims[v]
-            assert inj.maps[v] == Matrix.identity(F5, ds.rep.dims[v]).select_columns(
-                range(o, o + d))
-            assert proj.maps[v] == inj.maps[v].transpose()
+    # the 0/1 maps at the offsets are the block maps with one identity block:
+    # injection i is id_i (+) (0 -> X_j) (j != i), projection i is (0, ..., id_i, ..., 0)
+    total, injs, projs = biproduct_maps(parts)
+    zero = zero_representation(alg)
+    for i, (p, inj, proj) in enumerate(zip(parts, injs, projs)):
+        into = [Morphism.identity(p) if j == i else Morphism.zero(zero, x)
+                for j, x in enumerate(parts)]
+        onto = [Morphism.identity(p) if j == i else Morphism.zero(x, p)
+                for j, x in enumerate(parts)]
+        assert block_diagonal(p, total, into).maps == inj.maps
+        assert from_sum(total, p, onto).maps == proj.maps
 
 
 def _random_map(source, target, rng):
@@ -347,9 +352,10 @@ def test_coordinates_of_a_composite_over_an_end_basis():
     basis = hom_basis(m, m)
     assert len(basis) == 2
     f = linear_combination(m, m, basis, [F5.coerce(2), F5.coerce(3)])
-    assert coordinates_in_hom_basis(f, basis) == [2, 3]
+    flat = [b.flatten() for b in basis]
+    assert span_coordinates(F5, flat, f.flatten()) == [2, 3]
     g = f.after(f)
-    coords = coordinates_in_hom_basis(g, basis)
+    coords = span_coordinates(F5, flat, g.flatten())
     assert coords is not None
     assert linear_combination(m, m, basis, coords) == g
 
@@ -359,7 +365,7 @@ def test_coordinates_of_a_non_morphism_are_none():
     m = kron_jordan(alg, 2, 2)
     # identity at vertex 0, zero at c: the squares do not commute
     bad = Morphism(m, m, {"0": Matrix.identity(F5, 2)}, check=False)
-    assert coordinates_in_hom_basis(bad, hom_basis(m, m)) is None
+    assert span_coordinates(F5, [b.flatten() for b in hom_basis(m, m)], bad.flatten()) is None
 
 
 def test_span_coordinates_with_no_columns():
@@ -373,12 +379,12 @@ def test_span_coordinates_with_no_columns():
 
 def test_sum_onto_injections_is_the_identity():
     alg = kron(F5)
-    ds = direct_sum([kron_point(alg, 1), simple_at(alg, "0")])
-    total, iso, inv = sum_onto(ds.rep, ds.injections)
-    assert total.dims == ds.rep.dims
-    assert iso == Morphism.identity(ds.rep) and inv == Morphism.identity(ds.rep)
+    rep, injs, _ = biproduct_maps([kron_point(alg, 1), simple_at(alg, "0")])
+    total, iso, inv = sum_onto(rep, injs)
+    assert total.dims == rep.dims
+    assert iso == Morphism.identity(rep) and inv == Morphism.identity(rep)
     # one summand alone does not cover the sum: no inverse
-    assert sum_onto(ds.rep, ds.injections[:1])[2] is None
+    assert sum_onto(rep, injs[:1])[2] is None
 
 
 # ---------------------------------------------------------------------------
