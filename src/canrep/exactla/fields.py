@@ -249,7 +249,8 @@ class PrimeField:
     kind = "Fp"
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p >= 2**31:
+        # the bound first: trial division of a prime near 2^61 takes about 10^9 steps
+        if p >= 2**31 or not _is_prime(p):
             raise AlgebraError(f"modulus {p} is not a prime < 2^31")
         self.p = p
         self.char = p

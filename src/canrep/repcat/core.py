@@ -49,12 +49,15 @@ read.  It keeps:
   ``hom_basis(m, m)`` solves once and ``hom_dim(m, m)`` counts them.  Each
   ``hom_basis`` call still builds fresh Morphisms from the columns;
 - the exact "local" and "brick" verdicts of ``repcat.decomp``, which replays
-  the random draws the verdict's first computation made.
+  the random draws the verdict's first computation made;
+- the split ``repcat.decomp`` found in its End(m) basis walk, which draws
+  nothing: the pieces and their inclusions' per-vertex matrices.
 
 Apart from the presentation, which refers back to the module, the slot holds
-no Morphism and no Representation: the module's own dims and matrices, field
-elements and verdicts.  A module that was never presented is freed by
-reference counting alone.
+no Morphism and nothing that refers back to m: its own matrices, field
+elements, verdicts, and the split's pieces, which are modules of their own.
+A module that was never presented is freed by reference counting alone, and a
+split one frees its pieces with it unless they are still referenced.
 """
 
 from __future__ import annotations
@@ -144,13 +147,14 @@ class Representation:
 
 class _Derived:
     """Data derived from one module (see the module docstring): its
-    presentation, End's kernel columns, and the exact leaf and brick verdicts,
-    each None until computed."""
+    presentation, End's kernel columns, the exact leaf and brick verdicts, and
+    the basis walk's split as [(piece, {vertex: inclusion matrix})], each None
+    until computed."""
 
-    __slots__ = ("presentation", "end", "leaf", "brick")
+    __slots__ = ("presentation", "end", "leaf", "brick", "split")
 
     def __init__(self):
-        self.presentation = self.end = self.leaf = self.brick = None
+        self.presentation = self.end = self.leaf = self.brick = self.split = None
 
 
 def _derived_slot(m: Representation) -> _Derived:

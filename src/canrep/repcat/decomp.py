@@ -46,6 +46,13 @@ later ``is_brick`` the kept answer, without a basis walk; each replays the
 draws of the failed trials (or probes), one per End basis element each, and
 none when dim End = 1.  A verdict that rests on the trials or probes is never
 kept, so every call repeats them.
+
+A split found in the basis walk is kept in the same slot: the pieces and
+their inclusions' matrices.  The walk draws nothing, so a later call recurses
+straight into the kept pieces (and so into their kept verdicts and splits)
+with rng where a fresh split would leave it, and returns the same leaf
+objects.  A split found by the random candidates, the Frobenius blocks or the
+exhaustive idempotent search follows draws and is recomputed on every call.
 """
 
 from __future__ import annotations
@@ -342,30 +349,40 @@ def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factor
     if m.is_zero():
         return
     kept = _derived_slot(m)
-    if kept.leaf:
+    if kept.split is not None:
+        pieces = [(piece, Morphism(piece, m, maps, check=False)) for piece, maps in kept.split]
+    elif kept.leaf:
+        pieces = None
         _replay_draws(m.field, rng, trials, len(kept.end))
     else:
-        pieces, exact = _split(m, hom_basis(m, m), rng, trials, factorizations)
-        if pieces:
-            for piece, piece_incl in pieces:
-                _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves,
-                              factorizations)
-            return
-        if exact:
+        pieces, keep = _split(m, hom_basis(m, m), rng, trials, factorizations)
+        if keep and pieces:
+            kept.split = [(piece, piece_incl.maps) for piece, piece_incl in pieces]
+        elif keep:
             kept.leaf = True
+    if pieces:
+        for piece, piece_incl in pieces:
+            _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves, factorizations)
+        return
     leaves.append((m, incl))
 
 
 def _split(m: Representation, basis, rng, trials, factorizations):
-    """(pieces, exact): pieces that split m, or None when m is reported local,
-    and whether that verdict is exact.  An exact verdict makes the draws of the
-    failed trial loop, and a kept one replays them."""
+    """(pieces, keep): pieces that split m, or None when m is reported local,
+    and whether that answer may be kept on m.
+
+    A verdict "local" is kept when it is exact: it makes the draws of the
+    failed trial loop, and a kept one replays them.  A split is kept when the
+    basis walk found it, which draws nothing, so reusing it leaves rng where a
+    fresh split would.  A split from the random candidates, the Frobenius
+    blocks (found after the trials) or the exhaustive idempotent search follows
+    draws and is not kept."""
     if len(basis) == 1:
         return None, True
     for phi, factors, generates in _basis_walk(m, basis, factorizations):
         pieces = _primary_split(m, phi, factors)
         if pieces:
-            return pieces, False
+            return pieces, True
         if generates and factors is not None:
             # certified local: End(m) = F[phi] = F[x]/(mu), mu a power of one irreducible
             _skip_draws(m.field, rng, trials * len(basis))
@@ -385,7 +402,8 @@ def _split(m: Representation, basis, rng, trials, factorizations):
         return next(filter(None, (_primary_split(m, f, _factored(m, f, factorizations)[1])
                                   for f in fixed)), None), False
     if _exhaustive(m.field, len(basis)):
-        return _idempotent_fallback(m, basis), True
+        pieces = _idempotent_fallback(m, basis)
+        return pieces, pieces is None
     # reported local on the trials alone: an End that no basis element
     # generates, over Q and k(t), or a larger non-commutative End over F_p
     return None, False
@@ -395,7 +413,8 @@ def indecomposable_summands(m: Representation, rng=None, trials=_DEFAULT_TRIALS)
     """[(leaf, inclusion into m)]; the stacked inclusions are an isomorphism.
 
     A module whose exact "local" verdict is kept gives [(m, identity)] at once,
-    after the draws the verdict's first computation made."""
+    after the draws the verdict's first computation made; one whose basis-walk
+    split is kept recurses straight into its kept pieces."""
     rng = rng if rng is not None else random.Random(0)
     leaves = []
     _split_leaves(m, Morphism.identity(m), rng, trials, leaves, {})

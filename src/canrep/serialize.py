@@ -50,14 +50,19 @@ def _dim(d) -> int:
 
 
 def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Representation:
-    if algebra is None:
-        spec = data.get("algebra")
-        if spec is None:
-            raise ParseError("representation file carries no algebra")
-        if isinstance(spec, str):
-            algebra = load_algebra(spec)
-        else:
-            algebra = algebra_from_spec(spec)
+    """The representation of a JSON document, over ``algebra`` if given, else
+    over the algebra the document embeds.  A document that embeds an algebra
+    other than the given one is refused with a ParseError."""
+    spec = data.get("algebra")
+    if spec is not None:
+        embedded = load_algebra(spec) if isinstance(spec, str) else algebra_from_spec(spec)
+        if algebra is None:
+            algebra = embedded
+        elif not embedded.same_as(algebra):
+            raise ParseError(f"representation file is over the algebra {_spec_text(embedded)}, "
+                             f"not over the given algebra {_spec_text(algebra)}")
+    elif algebra is None:
+        raise ParseError("representation file carries no algebra")
     if "dims" not in data:
         raise ParseError("representation file carries no dims")
     try:
@@ -78,6 +83,10 @@ def rep_from_json(data: dict, algebra: CanonicalAlgebra | None = None) -> Repres
         arrows[label] = matrix_from_json(
             algebra.field, dims.get(arrow.target, 0), dims.get(arrow.source, 0), rows)
     return Representation(algebra, dims, arrows)
+
+
+def _spec_text(algebra: CanonicalAlgebra) -> str:
+    return json.dumps(algebra.spec(), sort_keys=True)
 
 
 def morphism_to_json(f: Morphism) -> dict:

@@ -10,6 +10,8 @@ from canrep.repcat import direct_sum, projective_at, simple_at
 
 from helpers import F5, kron, kron_point
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -277,3 +279,35 @@ def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     code, out = run(capsys, argv)
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "parse"
+
+
+def _golden_over(tmp_path, p):
+    """kron_regular.json with its embedded field's modulus replaced by p."""
+    data = json.loads((GOLDEN / "kron_regular.json").read_text())
+    data["algebra"]["field"]["p"] = p
+    path = tmp_path / f"kron_regular_p{p}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_a_huge_modulus_is_refused_at_once(tmp_path, capsys):
+    code, out = run(capsys, ["classify", "--rep", _golden_over(tmp_path, 2**61 - 1)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("command", ["hom", "ext"])
+def test_a_target_over_another_algebra_is_refused(tmp_path, capsys, command):
+    source = str(GOLDEN / "kron_regular.json")
+    code, out = run(capsys, [command, "--source", source, "--target", _golden_over(tmp_path, 7)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse"
+    assert '"p": 7' in error["message"] and '"p": 5' in error["message"]
+    # an embedded algebra that cannot be built fails as it does without a given one
+    code, out = run(capsys, [command, "--source", source, "--target", _golden_over(tmp_path, 6)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "domain",
+                                        "message": "modulus 6 is not a prime < 2^31"}
+    code, out = run(capsys, [command, "--source", source, "--target", _golden_over(tmp_path, 5)])
+    assert code == 0

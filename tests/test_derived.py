@@ -1,5 +1,6 @@
 """The derived-data slot a module keeps (``repcat.core._derived_slot``): its
-presentation, End's basis and the exact leaf and brick verdicts.  Modules
+presentation, End's basis, the exact leaf and brick verdicts, and the split
+the basis walk found.  Modules
 cannot change (read-only ``dims`` and ``arrows``, which cannot be rebound), so
 the slot is never stale; every construction path is checked for that.
 
@@ -14,7 +15,7 @@ import weakref
 
 import pytest
 
-from canrep.errors import DimensionMismatch
+from canrep.errors import DimensionMismatch, TubeError
 from canrep.exactla import Matrix, companion_matrix
 from canrep.homology import ExtSpace, tau
 from canrep.approx import TruncationParams, left_omega_approx
@@ -24,6 +25,7 @@ from canrep.repcat import (
     cokernel,
     core,
     decomp,
+    decompose,
     direct_sum,
     dualize,
     hom_basis,
@@ -41,7 +43,14 @@ from canrep.repcat import (
     zero_representation,
 )
 from canrep.serialize import rep_from_json, rep_to_json
-from canrep.trisection import TubeId, classify, uniserial_tower
+from canrep.trisection import (
+    TubeId,
+    classify,
+    partition_by_tubes,
+    split_trisect,
+    tube_of,
+    uniserial_tower,
+)
 from canrep.tubular_slopes import TubularAlgebra, canonical_family_pool, slope
 
 from helpers import F3, F5, QQ, conjugate, kron, kron_jordan, kron_point
@@ -308,3 +317,113 @@ def test_left_certificates_reuse_the_universal_extensions_spaces(monkeypatch):
         assert ap.certificates["ext_killed"]
         pairs = [(id(n), id(m)) for n, m in built]
         assert len(pairs) == len(set(pairs)), depth
+
+
+def _regular_sum(seed):
+    """A conjugated sum of three regular Kronecker modules over F_5, in two
+    tubes; its End basis walk splits it."""
+    alg = kron(F5)
+    return conjugate(direct_sum([kron_point(alg, 1), kron_jordan(alg, 2, 2),
+                                 kron_point(alg, 1)]).rep, random.Random(seed))
+
+
+def _counting_calls(monkeypatch, *names):
+    """Counts of calls of the named ``repcat.decomp`` functions, in a dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(decomp, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(decomp, name, counted)
+    return counts
+
+
+def test_a_kept_split_returns_the_same_leaves(monkeypatch):
+    m = _regular_sum(20)
+    first = indecomposable_summands(m, random.Random(21))
+    assert len(first) == 3 and core._derived_slot(m).split is not None
+    counts = _counting_calls(monkeypatch, "_primary_split", "factor_poly")
+    again, rng_state = _call(indecomposable_summands, m, 21)
+    assert counts == {"_primary_split": 0, "factor_poly": 0}
+    assert len(again) == 3 and all(a is b for (a, _), (b, _) in zip(again, first))
+    assert [incl.maps for _, incl in again] == [incl.maps for _, incl in first]
+    assert rng_state == _call(indecomposable_summands, _regular_sum(20), 21)[1]
+
+
+def test_a_kept_split_serves_a_different_trial_count(monkeypatch):
+    m = _regular_sum(22)
+    indecomposable_summands(m, random.Random(23))
+    counts = _counting_calls(monkeypatch, "_primary_split", "_candidates")
+    again = _call(lambda rep, rng: indecomposable_summands(rep, rng, 5), m, 24)
+    assert counts == {"_primary_split": 0, "_candidates": 0}
+    fresh = _call(lambda rep, rng: indecomposable_summands(rep, rng, 5), _regular_sum(22), 24)
+    assert [(leaf.dims, leaf.arrows, incl.maps) for leaf, incl in again[0]] == [
+        (leaf.dims, leaf.arrows, incl.maps) for leaf, incl in fresh[0]]
+    assert again[1] == fresh[1]
+
+
+def _label(m, rng):
+    try:
+        return classify(m, rng).value
+    except TubeError:
+        return "decomposable"
+
+
+def _summary(m, rng):
+    """Answers of a chain of decompose, classify, split_trisect and
+    partition_by_tubes on m, with the rng state after each."""
+    out = []
+    dec = decompose(m, rng)
+    out.append(([(s.dims, s.arrows, k) for s, k in dec.summands], dec.iso.maps, rng.getstate()))
+    out.append(([_label(s, rng) for s, _ in dec.summands] + [_label(m, rng)], rng.getstate()))
+    tri = split_trisect(m, rng)
+    out.append((tri.t_part.dims, tri.iso.maps, rng.getstate()))
+    part = partition_by_tubes(m, [tube_of(kron_point(m.algebra, 1), rng)], rng)
+    out.append((part.inside.dims, part.outside.dims, part.iso.maps, rng.getstate()))
+    return out
+
+
+def test_splitter_chains_draw_as_on_a_fresh_copy():
+    """Each round of the chain on one module, which keeps its split and its
+    leaves' verdicts, answers and draws as the chain on a fresh copy."""
+    m = _regular_sum(25)
+    for seed in (26, 27, 26):
+        assert _summary(m, random.Random(seed)) == _summary(_regular_sum(25), random.Random(seed))
+    assert core._derived_slot(m).split is not None
+
+
+def test_a_split_from_random_candidates_is_not_kept(monkeypatch):
+    """With a basis walk that never splits, the split comes from the random
+    candidates: nothing is kept, and each call splits again with the same draws."""
+    walk = decomp._basis_walk
+
+    def no_split(m, basis, factorizations):
+        for phi, _, _ in walk(m, basis, factorizations):
+            yield phi, None, False
+
+    monkeypatch.setattr(decomp, "_basis_walk", no_split)
+    m = conjugate(direct_sum([kron_point(kron(F5), 1), kron_point(kron(F5), 2)]).rep,
+                  random.Random(28))
+    counts = _counting_calls(monkeypatch, "_primary_split")
+    results = [_call(_leaves, m, 29) for _ in range(2)]
+    assert len(results[0][0]) == 2 and results[0] == results[1]
+    assert core._derived_slot(m).split is None and core._derived_slot(m).leaf is None
+    assert counts["_primary_split"] >= 2
+
+
+def test_a_split_module_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = _regular_sum(30)
+        leaves = indecomposable_summands(m, random.Random(31))
+        assert core._derived_slot(m).split is not None
+        refs = [weakref.ref(m)] + [weakref.ref(leaf) for leaf, _ in leaves]
+        del m, leaves
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,15 @@ def test_prime_field_rejects_composite():
     from canrep.errors import AlgebraError
     with pytest.raises(AlgebraError):
         PrimeField(6)
+
+
+def test_prime_field_rejects_a_huge_prime_at_once():
+    # 2^61 - 1 is prime: trial division up to its square root would not end
+    from canrep.errors import AlgebraError
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError, match="< 2\\^31"):
+        PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rational_canonical_form():
