@@ -19,8 +19,8 @@ from .homology import (
     ShortExactSequence,
     _p0_image_columns,
     kills_classes,
-    lift_through_surjection,
     realize_from_cocycle,
+    syzygy_map,
     universal_extension,
 )
 from .quiver_algebra import CanonicalAlgebra
@@ -29,15 +29,13 @@ from .repcat import (
     Representation,
     block_diagonal,
     direct_sum,
-    factor_through_injection,
     find_injective_morphism,
     from_sum,
     hom_basis,
     hom_dim,
     kernel,
-    linear_combination,
     minimal_projective_presentation,
-    span_coordinates,
+    solve_hom,
 )
 from .repcat.core import _cokernel
 from .trisection import (
@@ -162,23 +160,15 @@ def left_omega_approx(m: Representation, params: TruncationParams,
     theta_small = space_small.class_of_sequence(ue.sequence).cocycle
     pres_big = minimal_projective_presentation(sum_big)
 
-    lam = lift_through_surjection(space_small.pres.p0.rep, pres_big.cover,
-                                  u.after(space_small.pres.cover))
-    omega_u = factor_through_injection(pres_big.omega_incl,
-                                       lam.after(space_small.pres.omega_incl))
-    if omega_u is None:
-        raise ApproximationError("syzygy comparison failed")
-    hom_big = hom_basis(pres_big.omega, kept)
-    cols = [h.after(omega_u).flatten() for h in hom_big]
-    cols += _p0_image_columns(space_small.pres, kept)
-    if not cols:
-        raise ApproximationError("empty cocycle space at this truncation")
-    coeffs = span_coordinates(alg.field, cols, theta_small.flatten())
-    if coeffs is None:
+    omega_u = syzygy_map(space_small.pres, u.after(space_small.pres.cover),
+                         pres_big.cover, pres_big.omega_incl)
+    # theta_big o omega_u is theta_small up to the image of Hom(P0_small, kept)
+    theta_big = solve_hom(pres_big.omega, kept, lambda h: h.after(omega_u).flatten(),
+                          theta_small.flatten(),
+                          extra=_p0_image_columns(space_small.pres, kept))
+    if theta_big is None:
         raise ApproximationError("no compatible class at this depth",
                                  {"depth": params.depth})
-    # the coefficients past hom_big, over the image of Hom(P0_small, kept), are dropped
-    theta_big = linear_combination(pres_big.omega, kept, hom_big, coeffs)
     seq = realize_from_cocycle(pres_big, kept, theta_big)
     certs = _left_certificates(seq, mouths, ue.spaces)
     if not certs["ext_killed"]:
@@ -227,17 +217,13 @@ def extend_left_approx(approx: LeftApproximation, new_depth: int, rng=None):
         steps.append(step)
     u = block_diagonal(approx.sequence.quotient, deeper.sequence.quotient, steps)
     # solve for h: X_r -> X_{r'} with h o mu = mu' and pi' o h = u o pi
-    hb = hom_basis(approx.middle, deeper.middle)
-    cols = [(h.after(approx.sequence.inclusion).flatten()
-             + deeper.sequence.projection.after(h).flatten()) for h in hb]
-    rhs_vec = (deeper.sequence.inclusion.flatten()
-               + u.after(approx.sequence.projection).flatten())
-    if not cols:
-        raise ApproximationError("no maps between truncation levels")
-    coeffs = span_coordinates(alg.field, cols, rhs_vec)
-    if coeffs is None:
+    h = solve_hom(approx.middle, deeper.middle,
+                  lambda f: (f.after(approx.sequence.inclusion).flatten()
+                             + deeper.sequence.projection.after(f).flatten()),
+                  deeper.sequence.inclusion.flatten()
+                  + u.after(approx.sequence.projection).flatten())
+    if h is None:
         raise ApproximationError("no compatible monomorphism between depths")
-    h = linear_combination(approx.middle, deeper.middle, hb, coeffs)
     if not h.is_injective():
         raise ApproximationError("compatible map is not injective")
     return deeper, h
@@ -334,13 +320,8 @@ def right_omega_approx(m: Representation, params: TruncationParams,
 
 def factor_through_left_approx(h: Morphism, approx: LeftApproximation):
     """g with g o inclusion = h, when the connecting obstruction vanishes."""
-    hb = hom_basis(approx.middle, h.target)
-    coeffs = span_coordinates(h.source.field,
-                              [b.after(approx.sequence.inclusion).flatten() for b in hb],
-                              h.flatten())
-    if coeffs is None:
-        return None
-    return linear_combination(approx.middle, h.target, hb, coeffs)
+    return solve_hom(approx.middle, h.target,
+                     lambda b: b.after(approx.sequence.inclusion).flatten(), h.flatten())
 
 
 # ---------------------------------------------------------------------------

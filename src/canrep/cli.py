@@ -342,9 +342,8 @@ def main(argv=None) -> int:
         return 2
     except CanrepError as exc:
         payload = {"error": {"kind": "domain", "message": str(exc)}}
-        diagnostic = getattr(exc, "diagnostic", None)
-        if diagnostic:
-            payload["error"]["diagnostic"] = diagnostic
+        if exc.diagnostic:
+            payload["error"]["diagnostic"] = exc.diagnostic
         sys.stdout.write(dumps(payload))
         return 1
     if isinstance(result, str):

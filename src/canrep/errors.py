@@ -2,7 +2,12 @@
 
 
 class CanrepError(Exception):
-    """Base class for all domain errors raised by canrep."""
+    """Base class for all domain errors raised by canrep; ``diagnostic`` is a
+    JSON payload that the CLI prints with the message (empty if there is none)."""
+
+    def __init__(self, message, diagnostic=None):
+        super().__init__(message)
+        self.diagnostic = diagnostic if diagnostic is not None else {}
 
 
 class ParseError(CanrepError):
@@ -31,14 +36,11 @@ class DecompositionError(CanrepError):
 class ApproximationError(CanrepError):
     """Approximation construction failed; carries a diagnostic payload."""
 
-    def __init__(self, message, diagnostic=None):
-        super().__init__(message)
-        self.diagnostic = diagnostic if diagnostic is not None else {}
-
 
 class ChainError(CanrepError):
-    """Slope-chain construction got stuck at some ratio."""
+    """Slope-chain construction got stuck at some ratio; the diagnostic payload
+    names its index as {"stuck_index": k}."""
 
     def __init__(self, message, stuck_index=None):
-        super().__init__(message)
+        super().__init__(message, None if stuck_index is None else {"stuck_index": stuck_index})
         self.stuck_index = stuck_index

@@ -7,6 +7,10 @@ so "the class of a sequence" is well-defined across the package.  A class
 with cocycle Omega -> M is realized as the pushout of the presentation
 sequence 0 -> Omega -> P0 -> N -> 0 along its cocycle, by ``pushout`` itself.
 
+``syzygy_map`` is the one comparison map Omega -> K of a map P0 -> N' and a
+sequence K -> B -> N': the class of a sequence, the End(S) actions on Omega
+in ``universal_extension`` and the left omega-approximation's Omega_u.
+
 Hom(Omega, M) is the kernel of its commuting-square system, kept as flat
 columns; only the chosen representatives become Morphisms.  Hom(P0, M) is
 not solved: by Yoneda it is (+)_i M_{v_i}, so ``_p0_image_columns`` writes
@@ -43,11 +47,11 @@ from .repcat import (
     hom_dim,
     is_isomorphic,
     kernel,
-    linear_combination,
     minimal_projective_presentation,
     morphism_from_flat,
     morphism_from_projective_sum,
     projective_sum,
+    solve_hom,
     span_coordinates,
     zero_representation,
 )
@@ -163,12 +167,23 @@ class ExtSpace:
 
     def class_of_sequence(self, ses: ShortExactSequence) -> ExtClass:
         """Connecting class of 0 -> M -> B -> N -> 0 under this identification."""
-        lam = lift_through_surjection(self.pres.p0.rep, ses.projection, self.pres.cover)
-        into_sub = factor_through_injection(ses.inclusion,
-                                            lam.after(self.pres.omega_incl))
-        if into_sub is None:
-            raise AlgebraError("connecting construction failed (not exact?)")
-        return self.class_of_cocycle(into_sub)
+        return self.class_of_cocycle(
+            syzygy_map(self.pres, self.pres.cover, ses.projection, ses.inclusion))
+
+
+def syzygy_map(pres: Presentation, f: Morphism, projection: Morphism,
+               inclusion: Morphism) -> Morphism:
+    """Omega -> K for f: P0 -> N' and K -> B -> N' exact (inclusion, projection):
+    f lifted through the projection (P0 is projective), restricted to the
+    syzygy Omega of pres and factored through the inclusion."""
+    lift = solve_hom(pres.p0.rep, projection.source,
+                     lambda h: projection.after(h).flatten(), f.flatten())
+    if lift is None:
+        raise AlgebraError("projective lifting failed (internal error)")
+    restricted = factor_through_injection(inclusion, lift.after(pres.omega_incl))
+    if restricted is None:
+        raise AlgebraError("syzygy map construction failed (not exact?)")
+    return restricted
 
 
 def _p0_image_columns(pres: Presentation, m: Representation) -> list:
@@ -245,18 +260,6 @@ def euler_ext_check(n: Representation, m: Representation) -> bool:
     return total == alg.euler_form(n.dims, m.dims)
 
 
-def lift_through_surjection(source_proj: Representation, p: Morphism,
-                            f: Morphism) -> Morphism:
-    """lambda with p o lambda = f, source_proj projective, p surjective."""
-    hom = hom_basis(source_proj, p.source)
-    coeffs = span_coordinates(source_proj.field, [p.after(h).flatten() for h in hom],
-                              f.flatten())
-    if coeffs is None:
-        raise AlgebraError("projective lifting failed (internal error)" if hom
-                           else "no lift exists (source not projective?)")
-    return linear_combination(source_proj, p.source, hom, coeffs)
-
-
 def realize_from_cocycle(pres: Presentation, m: Representation,
                          cocycle: Morphism) -> ShortExactSequence:
     """The extension 0 -> m -> X -> N -> 0 with the given cocycle Omega -> m: the
@@ -325,16 +328,6 @@ class UniversalExtension:
     spaces: list             # Ext^1(S, m) per simple, as built for the construction
 
 
-def _end_action_on_syzygy(pres: Presentation, g: Morphism) -> Morphism:
-    """Restrict a lift of g in End(N) to the syzygy Omega -> Omega."""
-    lam = lift_through_surjection(pres.p0.rep, pres.cover, g.after(pres.cover))
-    restricted = lam.after(pres.omega_incl)
-    back = factor_through_injection(pres.omega_incl, restricted)
-    if back is None:
-        raise AlgebraError("syzygy action failed (internal error)")
-    return back
-
-
 def _sum_presentation(parts: list[Presentation], algebra) -> Presentation:
     """Presentation of a direct sum assembled from presentations of the parts."""
     module = direct_sum([p.module for p in parts], algebra).rep
@@ -372,9 +365,11 @@ def universal_extension(m: Representation, simples: list) -> UniversalExtension:
             raise AlgebraError("Ext^1(S, m) is not free over End(S)?")
         # the identity acts on Omega as a lift of itself, up to maps through P0,
         # which change no class coordinates
+        pres = space.pres
         ident = Morphism.identity(s)
-        actions = [Morphism.identity(space.pres.omega) if g == ident
-                   else _end_action_on_syzygy(space.pres, g) for g in end_s]
+        actions = [Morphism.identity(pres.omega) if g == ident
+                   else syzygy_map(pres, g.after(pres.cover), pres.cover, pres.omega_incl)
+                   for g in end_s]
         selected = []
         span_rows = []
         span_rank = 0

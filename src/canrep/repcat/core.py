@@ -11,11 +11,13 @@ unknowns minus its rank, so counting builds no kernel vector and no Morphism.
 Three pieces of Hom-space glue live here and nowhere else.  Finding a
 morphism in a span is ``span_coordinates`` (flattened morphisms as columns,
 one solve) followed by ``linear_combination`` (rebuild the sum from the
-coefficients).  Certifying a decomposition is ``sum_onto``: the direct sum of
-the pieces, the map that is each piece's morphism on its summand, and that
-map's inverse.  Every map into, out of and between direct sums, across the
-package, is built from blocks: ``from_sum`` (X_1 (+) ... (+) X_n -> Y, one
-horizontal stack per vertex) and ``block_diagonal`` (f_1 (+) ... (+) f_n).
+coefficients); ``solve_hom`` runs the two over a Hom basis, for f in Hom(X, Y)
+with a given image under a linear map.  Certifying a decomposition is
+``sum_onto``: the direct sum of the pieces, the map that is each piece's
+morphism on its summand, and that map's inverse.  Every map into, out of and
+between direct sums, across the package, is built from blocks: ``from_sum``
+(X_1 (+) ... (+) X_n -> Y, one horizontal stack per vertex) and
+``block_diagonal`` (f_1 (+) ... (+) f_n).
 No biproduct morphisms exist: a sum keeps only its layout, decided once in
 ``direct_sum`` (``DirectSum.offsets``), and an injection or a projection is a
 block map with identity and zero blocks.
@@ -363,6 +365,16 @@ def linear_combination(source, target, basis, coeffs) -> Morphism:
         if c != zero:
             f = f + b.scale(c)
     return f
+
+
+def solve_hom(source, target, image, rhs, extra=()) -> Morphism | None:
+    """f in Hom(source, target) with image(f) == rhs (image: a linear map from
+    morphisms to flat vectors), or None.  One solve over the images of the
+    ``hom_basis`` elements, then the flat columns extra, which may absorb part
+    of rhs: their coefficients are dropped."""
+    basis = hom_basis(source, target)
+    coeffs = span_coordinates(source.field, [image(b) for b in basis] + list(extra), rhs)
+    return None if coeffs is None else linear_combination(source, target, basis, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,12 @@ def _composites(m: Representation):
 
 def tube_of(m: Representation, rng=None) -> TubeId:
     """Tube of an indecomposable regular module via the Hom-membership predicate."""
+    return _tube_position(m, rng)[0]
+
+
+def _tube_position(m: Representation, rng=None):
+    """(tube, k) for ``tube_of``: k indexes the first mouth of the tube's orbit
+    with a nonzero map into m."""
     alg = m.algebra
     rng = rng if rng is not None else random.Random(0)
     if alg.defect_form()(m.dims) != 0:
@@ -363,17 +369,20 @@ def tube_of(m: Representation, rng=None) -> TubeId:
         raise TubeError("single-arm algebras are unsupported by tube machinery")
     for i in range(1, t + 1):
         tube = TubeId.for_arm(i)
-        if any(hom_dim(s, m) > 0 for s in regular_simples(alg, tube, rng)):
-            return tube
+        k = next((k for k, s in enumerate(regular_simples(alg, tube, rng))
+                  if hom_dim(s, m) > 0), None)
+        if k is not None:
+            return tube, k
     comps = _composites(m)
     x1 = comps[1]
-    if x1.rows != x1.cols or x1.inverse() is None:
+    x1_inv = x1.inverse() if x1.rows == x1.cols else None
+    if x1_inv is None:
         if t == 0:
             tube = TubeId.for_point(None)
             if hom_dim(regular_simples(alg, tube, rng)[0], m) > 0:
-                return tube
+                return tube, 0
         raise TubeError("module is not supported in a single tube")
-    op = x1.inverse() * comps[2]
+    op = x1_inv * comps[2]
     coeffs = minimal_polynomial((op,))
     factors = factor_poly(alg.field, coeffs)
     if len(factors) != 1:
@@ -382,7 +391,7 @@ def tube_of(m: Representation, rng=None) -> TubeId:
     validate_tube(alg, tube)
     if hom_dim(regular_simples(alg, tube, rng)[0], m) == 0:
         raise TubeError("membership verification failed")
-    return tube
+    return tube, 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +458,8 @@ def uniserial_tower(alg: CanonicalAlgebra, tube: TubeId, socle_index: int,
 def tower_over(s: Representation, rlen: int, rng) -> UniserialTower:
     """The uniserial tower S[1] c ... c S[rlen] whose socle is the regular simple s."""
     alg = s.algebra
-    tube = tube_of(s, rng)
-    orbit = regular_simples(alg, tube, rng)
-    socle = next((i for i, cand in enumerate(orbit)
-                  if is_isomorphic(cand, s, rng) is not None), None)
-    if socle is None:
+    tube, socle = _tube_position(s, rng)
+    if is_isomorphic(regular_simples(alg, tube, rng)[socle], s, rng) is None:
         raise TubeError("module is not a regular simple: no mouth of its tube matches it")
     return uniserial_tower(alg, tube, socle, rlen, rng)
 
@@ -484,17 +490,9 @@ def regular_series(m: Representation, rng=None):
             guard -= 1
             if guard < 0:
                 raise TubeError("socle peeling did not terminate")
-            tube = tube_of(current, rng)
-            orbit = regular_simples(alg, tube, rng)
-            socle = None
-            for cand in orbit:
-                maps = hom_basis(cand, current)
-                if maps:
-                    socle = (cand, maps[0])
-                    break
-            if socle is None:
-                raise TubeError("no mouth maps into a regular module")
-            cand, f = socle
+            tube, k = _tube_position(current, rng)
+            cand = regular_simples(alg, tube, rng)[k]
+            f = hom_basis(cand, current)[0]
             if not f.is_injective():
                 raise TubeError("mouth map is not injective (not regular?)")
             current, _ = cokernel(f)

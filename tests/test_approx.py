@@ -104,6 +104,18 @@ def test_left_approx_monotone_extension():
     assert mono.after(ap2.sequence.inclusion) == deeper.sequence.inclusion
 
 
+def test_extending_an_approximation_of_a_stripped_module():
+    # S(0) has positive defect, so nothing is kept: the middles at both depths
+    # are zero, and the compatible monomorphism is the zero map between them
+    alg = kron()
+    ap = left_omega_approx(simple_at(alg, "0"), TruncationParams((pt((0, 1)),), 1))
+    assert ap.kept.is_zero()
+    deeper, mono = extend_left_approx(ap, 2)
+    assert deeper.middle.is_zero()
+    assert mono.source is ap.middle and mono.target is deeper.middle
+    assert mono.is_zero() and mono.is_injective()
+
+
 def test_left_approx_multiple_tubes():
     alg = kron()
     pc = projective_at(alg, "c")

@@ -155,6 +155,17 @@ def test_right_approximation_of_a_non_positive_module_reports_its_parts(capsys):
         '"message":"right approximation needs all summands of positive defect"}}\n')
 
 
+def test_stuck_chain_reports_its_index(capsys):
+    # budget 1 leaves no module of slope 0, the first ratio: the domain error
+    # names index 0 as its diagnostic
+    code, out = run(capsys, ["chain", "--algebra", str(GOLDEN / "w2222_f5.alg.json"),
+                             "--ratios", "0,1", "--budget", "1", "--seed", "0"])
+    assert code == 1
+    assert out == (
+        '{"canrep_format":1,"error":{"diagnostic":{"stuck_index":0},"kind":"domain",'
+        '"message":"no constructible module of slope 0"}}\n')
+
+
 @pytest.mark.parametrize("weight", [2, 3])
 def test_single_arm_tube_is_rejected_up_front(tmp_path, capsys, weight):
     alg_path = tmp_path / "line.json"

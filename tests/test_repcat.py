@@ -31,6 +31,7 @@ from canrep.repcat import (
     projective_sum,
     radical,
     simple_at,
+    solve_hom,
     span_coordinates,
     sum_onto,
     top,
@@ -375,6 +376,41 @@ def test_span_coordinates_with_no_columns():
     alg = kron(F5)
     m, n = kron_point(alg, 1), kron_point(alg, 2)
     assert linear_combination(m, n, [], []).is_zero()
+
+
+def test_solve_hom_finds_a_preimage_or_none():
+    alg = kron(F5)
+    m = kron_jordan(alg, 2, 2)
+    basis = hom_basis(m, m)
+    f = linear_combination(m, m, basis, [F5.coerce(2), F5.coerce(3)])
+    flat = Morphism.flatten
+    assert solve_hom(m, m, flat, flat(f)) == f
+    g = solve_hom(m, m, lambda b: flat(b.after(f)), flat(f.after(f)))
+    assert g is not None and g.after(f) == f.after(f)
+    # identity at vertex 0, zero at c: outside the span of End(m)
+    bad = Morphism(m, m, {"0": Matrix.identity(F5, 2)}, check=False)
+    assert solve_hom(m, m, flat, flat(bad)) is None
+
+
+def test_solve_hom_drops_the_coefficients_of_extra_columns():
+    alg = kron(F5)
+    m = kron_jordan(alg, 2, 2)
+    basis = hom_basis(m, m)
+    f = linear_combination(m, m, basis, [F5.coerce(1), F5.coerce(4)])
+    bad = Morphism(m, m, {"0": Matrix.identity(F5, 2)}, check=False)
+    rhs = (f + bad.scale(F5.coerce(3))).flatten()
+    assert solve_hom(m, m, Morphism.flatten, rhs) is None
+    # the extra column absorbs 3 * bad; the answer is f alone
+    assert solve_hom(m, m, Morphism.flatten, rhs, extra=[bad.flatten()]) == f
+
+
+def test_solve_hom_over_an_empty_hom_space():
+    alg = kron(F5)
+    m, n = kron_point(alg, 1), kron_point(alg, 2)
+    assert hom_basis(m, n) == []
+    g = solve_hom(m, n, Morphism.flatten, [F5.zero, F5.zero])
+    assert g is not None and g.is_zero() and g.source is m and g.target is n
+    assert solve_hom(m, n, Morphism.flatten, [F5.one, F5.zero]) is None
 
 
 def test_sum_onto_injections_is_the_identity():
