@@ -156,16 +156,17 @@ def left_omega_approx(m: Representation, params: TruncationParams,
     sum_big = direct_sum([tw.top_module for tw in towers], alg).rep
     u = block_diagonal(t_small, sum_big, [tw.socle_inclusion() for tw in towers])
 
-    space_small = ExtSpace(t_small, kept)
-    theta_small = space_small.class_of_sequence(ue.sequence).cocycle
+    pres_small = minimal_projective_presentation(t_small)
+    theta_small = syzygy_map(pres_small, pres_small.cover,
+                             ue.sequence.projection, ue.sequence.inclusion)
     pres_big = minimal_projective_presentation(sum_big)
 
-    omega_u = syzygy_map(space_small.pres, u.after(space_small.pres.cover),
+    omega_u = syzygy_map(pres_small, u.after(pres_small.cover),
                          pres_big.cover, pres_big.omega_incl)
     # theta_big o omega_u is theta_small up to the image of Hom(P0_small, kept)
     theta_big = solve_hom(pres_big.omega, kept, lambda h: h.after(omega_u).flatten(),
                           theta_small.flatten(),
-                          extra=_p0_image_columns(space_small.pres, kept))
+                          extra=_p0_image_columns(pres_small, kept))
     if theta_big is None:
         raise ApproximationError("no compatible class at this depth",
                                  {"depth": params.depth})

@@ -5,6 +5,11 @@ one machine-readable report (JSON, or TSV where noted).  All randomized
 behavior flows from --seed; identical inputs and seed give byte-identical
 output.  Exit codes: 0 success, 1 domain error (structured JSON on stdout),
 2 parse errors.
+
+A subcommand is declared once, by ``@command(name, seeded=..., **flags)`` on
+its handler: that fills ``HANDLERS``, which ``main`` dispatches through, and
+the flags ``build_parser`` adds, in declaration order (``seeded`` makes --seed
+required).  A comma list (--tubes, --ratios) that names nothing is a parse error.
 """
 
 from __future__ import annotations
@@ -49,39 +54,77 @@ from .tubular_slopes import (
     slope_order_check,
 )
 
-SEED_REQUIRED = {"decompose", "split-trisect", "partition-tubes", "omega-right",
-                 "slope-check", "chain"}
+HANDLERS = {}   # subcommand -> handler(args), in declaration order
+_FLAGS = {}     # subcommand -> (--seed required, {flag: add_argument keywords})
+
+
+def command(name, seeded=False, **flags):
+    """Declare the decorated handler as subcommand ``name`` taking ``flags``."""
+    def register(handler):
+        HANDLERS[name] = handler
+        _FLAGS[name] = (seeded, flags)
+        return handler
+    return register
+
+
+# flag sets shared between subcommands
+REP = {"--rep": {"required": True}}
+ALG_OPT = {"--algebra": {"default": None}}
+ALG = {"--algebra": {"required": True}}
+PAIR = {"--source": {"required": True}, "--target": {"required": True}}
+TUBE = {"--tube": {"required": True}}
+SOCLE = {"--socle": {"type": int, "default": 0}}
+TUBES = {"--tubes": {"required": True}}
+DEPTH = {"--depth": {"type": int, "required": True}}
 
 
 def _load_rep(args):
-    algebra = load_algebra(args.algebra) if getattr(args, "algebra", None) else None
+    algebra = load_algebra(args.algebra) if args.algebra else None
     return load_representation(args.rep, algebra)
+
+
+def _load_pair(args):
+    """--source and --target, over --algebra if given, else the source's algebra."""
+    algebra = load_algebra(args.algebra) if args.algebra else None
+    source = load_representation(args.source, algebra)
+    return source, load_representation(args.target, algebra or source.algebra)
 
 
 def _rng(args):
     return random.Random(args.seed if args.seed is not None else 0)
 
 
-def _tubes(field, text):
-    return tuple(TubeId.parse(field, part) for part in text.split(",") if part.strip())
+def _comma_list(flag, text):
+    """The non-blank items of a comma list; a list that names nothing is a parse error."""
+    items = [part for part in text.split(",") if part.strip()]
+    if not items:
+        raise ParseError(f"{flag} names nothing: {text!r}")
+    return items
+
+
+def _tubes(field, args):
+    return tuple(TubeId.parse(field, part) for part in _comma_list("--tubes", args.tubes))
 
 
 # ---------------------------------------------------------------------------
 # handlers, one per subcommand
 # ---------------------------------------------------------------------------
 
+@command("classify", **REP, **ALG_OPT)
 def cmd_classify(args):
     m = _load_rep(args)
     label = classify(m, _rng(args))
     return {"label": label.value, "defect": m.algebra.defect_form()(m.dims)}
 
 
+@command("defect", **REP, **ALG_OPT)
 def cmd_defect(args):
     m = _load_rep(args)
     return {"defect": m.algebra.defect_form()(m.dims),
             "dims": {v: m.dims[v] for v in m.algebra.vertices}}
 
 
+@command("decompose", seeded=True, **REP, **ALG_OPT)
 def cmd_decompose(args):
     m = _load_rep(args)
     dec = decompose(m, _rng(args))
@@ -93,24 +136,21 @@ def cmd_decompose(args):
     }
 
 
+@command("hom", **PAIR, **ALG_OPT)
 def cmd_hom(args):
-    algebra = load_algebra(args.algebra) if args.algebra else None
-    m = load_representation(args.source, algebra)
-    n = load_representation(args.target, algebra or m.algebra)
-    basis = hom_basis(m, n)
+    basis = hom_basis(*_load_pair(args))
     return {"dim": len(basis), "basis": [morphism_to_json(f) for f in basis]}
 
 
+@command("ext", **PAIR, **ALG_OPT)
 def cmd_ext(args):
-    algebra = load_algebra(args.algebra) if args.algebra else None
-    n = load_representation(args.source, algebra)
-    m = load_representation(args.target, algebra or n.algebra)
-    classes = ext1_basis(n, m)
+    classes = ext1_basis(*_load_pair(args))
     middles = [rep_to_json(cls.realize().middle, include_algebra=False)
                for cls in classes]
     return {"dim": len(classes), "middles": middles}
 
 
+@command("tau", **REP, **ALG_OPT, **{"--inverse": {"action": "store_true"}})
 def cmd_tau(args):
     m = _load_rep(args)
     rep = tau_inverse_with_report(m) if args.inverse else tau_with_report(m)
@@ -119,6 +159,7 @@ def cmd_tau(args):
             "algebra": m.algebra.spec()}
 
 
+@command("tube-simples", **ALG, **TUBE)
 def cmd_tube_simples(args):
     alg = load_algebra(args.algebra)
     tube = TubeId.parse(alg.field, args.tube)
@@ -128,6 +169,7 @@ def cmd_tube_simples(args):
             "algebra": alg.spec()}
 
 
+@command("sbracket", **ALG, **TUBE, **SOCLE, **{"--rlen": {"type": int, "required": True}})
 def cmd_sbracket(args):
     alg = load_algebra(args.algebra)
     tube = TubeId.parse(alg.field, args.tube)
@@ -139,6 +181,7 @@ def cmd_sbracket(args):
             "algebra": alg.spec()}
 
 
+@command("split-trisect", seeded=True, **REP, **ALG_OPT)
 def cmd_split_trisect(args):
     m = _load_rep(args)
     tri = split_trisect(m, _rng(args))
@@ -151,9 +194,10 @@ def cmd_split_trisect(args):
     }
 
 
+@command("partition-tubes", seeded=True, **REP, **ALG_OPT, **TUBES)
 def cmd_partition_tubes(args):
     m = _load_rep(args)
-    tubes = _tubes(m.algebra.field, args.tubes)
+    tubes = _tubes(m.algebra.field, args)
     part = partition_by_tubes(m, tubes, _rng(args))
     return {
         "inside": rep_to_json(part.inside, include_algebra=False),
@@ -163,9 +207,10 @@ def cmd_partition_tubes(args):
     }
 
 
+@command("omega-left", **REP, **ALG_OPT, **TUBES, **DEPTH)
 def cmd_omega_left(args):
     m = _load_rep(args)
-    params = TruncationParams(_tubes(m.algebra.field, args.tubes), args.depth)
+    params = TruncationParams(_tubes(m.algebra.field, args), args.depth)
     ap = left_omega_approx(m, params, _rng(args))
     return {
         "sequence": ses_to_json(ap.sequence),
@@ -176,9 +221,10 @@ def cmd_omega_left(args):
     }
 
 
+@command("omega-right", seeded=True, **REP, **ALG_OPT, **TUBES, **DEPTH)
 def cmd_omega_right(args):
     m = _load_rep(args)
-    params = TruncationParams(_tubes(m.algebra.field, args.tubes), args.depth)
+    params = TruncationParams(_tubes(m.algebra.field, args), args.depth)
     ap = right_omega_approx(m, params, _rng(args))
     return {
         "sequence": ses_to_json(ap.sequence),
@@ -189,12 +235,14 @@ def cmd_omega_right(args):
     }
 
 
+@command("generic", **ALG)
 def cmd_generic(args):
     alg = load_algebra(args.algebra)
     gm = kronecker_generic(alg)
     return {"rep": rep_to_json(gm.module), "base_algebra": alg.spec()}
 
 
+@command("endolength", **ALG)
 def cmd_endolength(args):
     alg = load_algebra(args.algebra)
     gm = kronecker_generic(alg)
@@ -202,13 +250,12 @@ def cmd_endolength(args):
             "end_dim": hom_dim(gm.module, gm.module)}
 
 
+@command("peg-growth", **ALG, **TUBE, **SOCLE,
+         **{"--rmax": {"type": int, "required": True}, "--peg": {"default": None}})
 def cmd_peg_growth(args):
     alg = load_algebra(args.algebra)
     rng = _rng(args)
-    if args.peg:
-        peg = projective_at(alg, args.peg)
-    else:
-        peg = pegs(alg)[0]
+    peg = projective_at(alg, args.peg) if args.peg else pegs(alg)[0]
     tube = TubeId.parse(alg.field, args.tube)
     # the mouth orbit[socle] as S[1]; uniserial_tower checks the socle index
     s = uniserial_tower(alg, tube, args.socle, 1, rng).top_module
@@ -217,12 +264,9 @@ def cmd_peg_growth(args):
             "monomorphism_witness": [w is not None for w in growth.witnesses]}
 
 
-def _tubular(args):
-    return TubularAlgebra(load_algebra(args.algebra))
-
-
+@command("slope", **ALG, **REP, **{"--format": {"choices": ("json", "tsv"), "default": "json"}})
 def cmd_slope(args):
-    tub = _tubular(args)
+    tub = TubularAlgebra(load_algebra(args.algebra))
     m = load_representation(args.rep, tub.algebra)
     s = slope(m, tub, _rng(args))
     d0 = tub.delta_zero(m.dims)
@@ -236,8 +280,9 @@ def cmd_slope(args):
             "delta0": d0, "delta_inf": di, "slope": str(s), "family": family}
 
 
+@command("slope-check", seeded=True, **ALG, **PAIR)
 def cmd_slope_check(args):
-    tub = _tubular(args)
+    tub = TubularAlgebra(load_algebra(args.algebra))
     m = load_representation(args.source, tub.algebra)
     n = load_representation(args.target, tub.algebra)
     verdict = slope_order_check(m, n, tub, _rng(args))
@@ -247,10 +292,12 @@ def cmd_slope_check(args):
             "slope_target": str(verdict.slope_target)}
 
 
+@command("chain", seeded=True, **ALG,
+         **{"--ratios": {"required": True}, "--budget": {"type": int, "default": 16}})
 def cmd_chain(args):
-    tub = _tubular(args)
-    ratios = [r for r in args.ratios.split(",") if r.strip()]
-    chain = chain_toward_slope(tub, ratios, _rng(args), args.budget)
+    tub = TubularAlgebra(load_algebra(args.algebra))
+    chain = chain_toward_slope(tub, _comma_list("--ratios", args.ratios), _rng(args),
+                               args.budget)
     return {
         "slopes": [str(s) for s in chain.slopes],
         "modules": [rep_to_json(m, include_algebra=False) for m in chain.modules],
@@ -258,85 +305,23 @@ def cmd_chain(args):
     }
 
 
-HANDLERS = {
-    "classify": cmd_classify,
-    "defect": cmd_defect,
-    "decompose": cmd_decompose,
-    "hom": cmd_hom,
-    "ext": cmd_ext,
-    "tau": cmd_tau,
-    "tube-simples": cmd_tube_simples,
-    "sbracket": cmd_sbracket,
-    "split-trisect": cmd_split_trisect,
-    "partition-tubes": cmd_partition_tubes,
-    "omega-left": cmd_omega_left,
-    "omega-right": cmd_omega_right,
-    "generic": cmd_generic,
-    "endolength": cmd_endolength,
-    "peg-growth": cmd_peg_growth,
-    "slope": cmd_slope,
-    "slope-check": cmd_slope_check,
-    "chain": cmd_chain,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="canrep",
         description="exact computations with modules over canonical algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
+    for name, (seeded, flags) in _FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=None,
-                       required=name in SEED_REQUIRED)
+        p.add_argument("--seed", type=int, default=None, required=seeded)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    rep = {"--rep": {"required": True}}
-    alg_opt = {"--algebra": {"default": None}}
-    alg_req = {"--algebra": {"required": True}}
-
-    add("classify", **rep, **alg_opt)
-    add("defect", **rep, **alg_opt)
-    add("decompose", **rep, **alg_opt)
-    add("hom", **{"--source": {"required": True}, "--target": {"required": True}},
-        **alg_opt)
-    add("ext", **{"--source": {"required": True}, "--target": {"required": True}},
-        **alg_opt)
-    add("tau", **rep, **alg_opt,
-        **{"--inverse": {"action": "store_true"}})
-    add("tube-simples", **alg_req, **{"--tube": {"required": True}})
-    add("sbracket", **alg_req, **{"--tube": {"required": True},
-                                  "--socle": {"type": int, "default": 0},
-                                  "--rlen": {"type": int, "required": True}})
-    add("split-trisect", **rep, **alg_opt)
-    add("partition-tubes", **rep, **alg_opt, **{"--tubes": {"required": True}})
-    add("omega-left", **rep, **alg_opt,
-        **{"--tubes": {"required": True}, "--depth": {"type": int, "required": True}})
-    add("omega-right", **rep, **alg_opt,
-        **{"--tubes": {"required": True}, "--depth": {"type": int, "required": True}})
-    add("generic", **alg_req)
-    add("endolength", **alg_req)
-    add("peg-growth", **alg_req,
-        **{"--tube": {"required": True}, "--socle": {"type": int, "default": 0},
-           "--rmax": {"type": int, "required": True}, "--peg": {"default": None}})
-    add("slope", **alg_req, **rep,
-        **{"--format": {"choices": ("json", "tsv"), "default": "json"}})
-    add("slope-check", **alg_req,
-        **{"--source": {"required": True}, "--target": {"required": True}})
-    add("chain", **alg_req, **{"--ratios": {"required": True},
-                               "--budget": {"type": int, "default": 16}})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        result = handler(args)
+        result = HANDLERS[args.command](args)
     except ParseError as exc:
         sys.stdout.write(dumps({"error": {"kind": "parse", "message": str(exc)}}))
         return 2

@@ -426,43 +426,31 @@ def kills_classes(space: ExtSpace, inclusion: Morphism) -> bool:
 # Auslander-Reiten translate
 # ---------------------------------------------------------------------------
 
-def _presentation_path_matrix(pres: Presentation):
-    """Entries of P1 -> P0 as path-space coefficient vectors."""
-    alg = pres.module.algebra
-    entries = {}
-    for j, wj in enumerate(pres.p1.summand_vertices):
-        gcol = pres.p1.generator_coordinate(j)
-        col = pres.d.maps[wj].col(gcol)
-        for i, vi in enumerate(pres.p0.summand_vertices):
-            plist, basis, _ = alg.path_space(vi, wj)
-            off = pres.p0.offsets[i][wj]
-            entries[(i, j)] = [(col[off + k], plist[bidx])
-                               for k, bidx in enumerate(basis)]
-    return entries
-
-
 def transpose_module(m: Representation) -> Representation:
     """Tr m over the opposite algebra, via the transposed presentation."""
     alg = m.algebra
     opp = alg.opposite()
     pres = minimal_projective_presentation(m)
-    entries = _presentation_path_matrix(pres)
     q_from = projective_sum(opp, list(pres.p0.summand_vertices))
     q_to = projective_sum(opp, list(pres.p1.summand_vertices))
     F = alg.field
+    # the image of P1's generator j in P0: path-space coefficients per P0 summand
+    d_cols = [pres.d.maps[wj].col(pres.p1.generator_coordinate(j))
+              for j, wj in enumerate(pres.p1.summand_vertices)]
     gen_vectors = []
     for i, vi in enumerate(pres.p0.summand_vertices):
         vec = [F.zero] * q_to.rep.dims[vi]
         for j, wj in enumerate(pres.p1.summand_vertices):
-            _, basis_b, _ = opp.path_space(wj, vi)
-            off = q_to.offsets[j][vi]
-            for coeff, path in entries[(i, j)]:
+            plist, basis, _ = alg.path_space(vi, wj)
+            col, start, off = d_cols[j], pres.p0.offsets[i][wj], q_to.offsets[j][vi]
+            for k, bidx in enumerate(basis):
+                coeff = col[start + k]
                 if coeff == F.zero:
                     continue
-                red = opp.reduce_path(wj, vi, tuple(reversed(path)))
-                for k, c in enumerate(red):
+                red = opp.reduce_path(wj, vi, tuple(reversed(plist[bidx])))
+                for kk, c in enumerate(red):
                     if c != F.zero:
-                        vec[off + k] = F.add(vec[off + k], F.mul(coeff, c))
+                        vec[off + kk] = F.add(vec[off + kk], F.mul(coeff, c))
         gen_vectors.append(Matrix.column(F, vec))
     dual_map = morphism_from_projective_sum(q_from, q_to.rep, gen_vectors)
     tr, _ = cokernel(dual_map)

@@ -289,10 +289,10 @@ def slope_pool(tub: TubularAlgebra, target: Slope, rng=None, budget: int = 16):
         ic = injective_at(tub.algebra, SINK)
         if tub.delta_infinity(ic.dims) == 0 and is_brick(ic, rng):
             cands.append(ic)
+    elif target == Slope.of(1):
+        cands = canonical_family_pool(tub, rng)
     else:
-        cands = list(canonical_family_pool(tub, rng))
-        if target != Slope.of(1):
-            cands = _extension_middles(tub, target, rng, budget)
+        cands = _extension_middles(tub, target, rng, budget)
     out = [c for c in cands
            if c.total_dim <= budget and slope(c, tub, rng, certified=True) == target]
     out.sort(key=lambda r: (r.total_dim, tuple(r.dims[v] for v in tub.algebra.vertices)))

@@ -15,7 +15,7 @@ from canrep.approx import (
     right_omega_approx,
 )
 from canrep.errors import ApproximationError
-from canrep.homology import ext1_dim
+from canrep.homology import ExtSpace, ext1_dim
 from canrep.quiver_algebra import CanonicalAlgebra
 from canrep.repcat import (
     Morphism,
@@ -140,6 +140,25 @@ def test_a_tube_named_twice_counts_once():
     right = [right_omega_approx(ic, p, random.Random(1)) for p in (once, twice)]
     assert right[0].cover_blocks == right[1].cover_blocks
     assert right[0].sequence.middle.dims == right[1].sequence.middle.dims
+
+
+def test_left_approx_builds_ext_spaces_only_on_mouths(monkeypatch):
+    # the universal extension's class is read off its sequence by a syzygy map,
+    # so no Ext^1 space is built on the quotient, a sum of mouths
+    alg = kron(F5)
+    params = TruncationParams((pt((0, 1)), pt((4, 1))), 2)
+    pc0 = direct_sum([projective_at(alg, "c"), projective_at(alg, "0")]).rep
+    sources = []
+    init = ExtSpace.__init__
+
+    def recording(self, n, m, pres=None):
+        sources.append(n)
+        init(self, n, m, pres)
+    monkeypatch.setattr(ExtSpace, "__init__", recording)
+    ap = left_omega_approx(pc0, params, random.Random(1))
+    assert ap.blocks and sources
+    mouths = [s for _, _, s in mouth_modules(alg, params)]
+    assert all(any(n is s for s in mouths) for n in sources)
 
 
 def test_factorization_shadow():

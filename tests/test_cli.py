@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from canrep.cli import main
+from canrep.cli import HANDLERS, build_parser, main
 from canrep.serialize import rep_from_json, rep_to_json
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import direct_sum, projective_at, simple_at
@@ -253,6 +253,12 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     ("1/", "ratios"),                                   # a fraction without its denominator
     ("0,1/0", "ratios"),                                # a zero denominator after a good slope
     ("nan", "ratios"),                                  # a float word that is no rational
+    ("", "ratios"),                                     # a list that names no slope
+    (" , ", "ratios"),                                  # blank items only
+    ("", "partition-tubes"),                            # a list that names no tube
+    (" , ", "partition-tubes"),
+    ("", "omega-left"),
+    (" , ", "omega-right"),
     (_rep_text().replace('"dims"', '"dimz"'), "hom"),   # a representation without dims
     (KRON_F5, "decompose"),                             # an algebra spec given as the module
     (_rep_text(KRON_QT, arrows='{"x1": [["(t)/(0)"]]}'), "rep"),  # a zero polynomial denominator
@@ -267,6 +273,8 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
         "dim-fraction", "dim-bool", "dim-negative", "weight-bool",
         "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
         "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan",
+        "ratios-empty", "ratios-blank", "partition-tubes-empty", "partition-tubes-blank",
+        "omega-left-tubes-empty", "omega-right-tubes-blank",
         "no-dims", "algebra-as-rep", "qt-zero-poly-denominator", "qt-zero-denominator",
         "fpt-fraction", "fp-modulus-float", "fp-modulus-bool", "fpt-modulus-float",
         "fpt-modulus-bool"])
@@ -281,6 +289,9 @@ def test_malformed_json_is_a_parse_error(files, capsys, text, where):
         tubular = files["tmp"] / "tub.json"
         tubular.write_text(json.dumps(canonical_algebra(F5, [2, 2, 2, 2], [2, 3]).spec()))
         argv = ["chain", "--seed", "1", "--algebra", str(tubular), "--ratios", text]
+    elif where in ("partition-tubes", "omega-left", "omega-right"):
+        argv = [where, "--seed", "1", "--rep", files["mix"], "--tubes", text]
+        argv += [] if where == "partition-tubes" else ["--depth", "1"]
     elif where == "hom":
         argv = ["hom", "--source", files["pc"], "--target", str(bad)]
     elif where == "decompose":
@@ -322,3 +333,32 @@ def test_a_target_over_another_algebra_is_refused(tmp_path, capsys, command):
                                         "message": "modulus 6 is not a prime < 2^31"}
     code, out = run(capsys, [command, "--source", source, "--target", _golden_over(tmp_path, 5)])
     assert code == 0
+
+
+SUBCOMMANDS = ["classify", "defect", "decompose", "hom", "ext", "tau", "tube-simples",
+               "sbracket", "split-trisect", "partition-tubes", "omega-left", "omega-right",
+               "generic", "endolength", "peg-growth", "slope", "slope-check", "chain"]
+
+
+def _subparsers():
+    return next(a.choices for a in build_parser()._actions if a.dest == "command")
+
+
+def test_each_subcommand_is_declared_once_in_order():
+    assert list(HANDLERS) == SUBCOMMANDS
+    assert list(_subparsers()) == SUBCOMMANDS
+
+
+def test_seed_is_required_exactly_where_declared():
+    seeded = {name for name, p in _subparsers().items()
+              if next(a for a in p._actions if a.dest == "seed").required}
+    assert seeded == {"decompose", "split-trisect", "partition-tubes", "omega-right",
+                      "slope-check", "chain"}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_exits_0(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: canrep {name} ")
