@@ -254,8 +254,10 @@ def cmd_endolength(args):
          **{"--rmax": {"type": int, "required": True}, "--peg": {"default": None}})
 def cmd_peg_growth(args):
     alg = load_algebra(args.algebra)
+    if args.peg is not None and args.peg not in alg.vertex_index:
+        raise ParseError(f"unknown vertex {args.peg!r} for --peg")
     rng = _rng(args)
-    peg = projective_at(alg, args.peg) if args.peg else pegs(alg)[0]
+    peg = pegs(alg)[0] if args.peg is None else projective_at(alg, args.peg)
     tube = TubeId.parse(alg.field, args.tube)
     # the mouth orbit[socle] as S[1]; uniserial_tower checks the socle index
     s = uniserial_tower(alg, tube, args.socle, 1, rng).top_module

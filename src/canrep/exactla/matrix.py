@@ -156,9 +156,6 @@ class Matrix:
         z = self.field.zero
         return all(x == z for row in self.data for x in row)
 
-    def row(self, i):
-        return self.data[i]
-
     def col(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
 

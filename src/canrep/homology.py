@@ -6,6 +6,8 @@ connecting classes, pushforwards and pullbacks all use that identification,
 so "the class of a sequence" is well-defined across the package.  A class
 with cocycle Omega -> M is realized as the pushout of the presentation
 sequence 0 -> Omega -> P0 -> N -> 0 along its cocycle, by ``pushout`` itself.
+``ExtSpace.class_of_sequence`` is the public inverse of ``realize``: the class
+of a given sequence, read through ``syzygy_map``.
 
 ``syzygy_map`` is the one comparison map Omega -> K of a map P0 -> N' and a
 sequence K -> B -> N': the class of a sequence, the End(S) actions on Omega

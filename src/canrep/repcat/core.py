@@ -50,10 +50,11 @@ read.  It keeps:
 - End(m)'s basis as the kernel columns of its commuting-square system, so
   ``hom_basis(m, m)`` solves once and ``hom_dim(m, m)`` counts them.  Each
   ``hom_basis`` call still builds fresh Morphisms from the columns;
-- the exact "local" and "brick" verdicts of ``repcat.decomp``, which replays
-  the random draws the verdict's first computation made;
-- the split ``repcat.decomp`` found in its End(m) basis walk, which draws
-  nothing: the pieces and their inclusions' per-vertex matrices.
+- the splitter's one kept decision (``repcat.decomp``): the split found in
+  its End(m) basis walk, which draws nothing, as the pieces and their
+  inclusions' per-vertex matrices, or no pieces for an exact "local" verdict,
+  whose later use replays the random draws its first computation made;
+- the exact "brick" verdict of ``repcat.decomp``, replayed the same way.
 
 Apart from the presentation, which refers back to the module, the slot holds
 no Morphism and nothing that refers back to m: its own matrices, field
@@ -149,14 +150,14 @@ class Representation:
 
 class _Derived:
     """Data derived from one module (see the module docstring): its
-    presentation, End's kernel columns, the exact leaf and brick verdicts, and
-    the basis walk's split as [(piece, {vertex: inclusion matrix})], each None
-    until computed."""
+    presentation, End's kernel columns, the exact brick verdict, and the
+    splitter's kept decision as [(piece, {vertex: inclusion matrix})], [] for
+    an exact "local" verdict; each None until computed."""
 
-    __slots__ = ("presentation", "end", "leaf", "brick", "split")
+    __slots__ = ("presentation", "end", "brick", "split")
 
     def __init__(self):
-        self.presentation = self.end = self.leaf = self.brick = self.split = None
+        self.presentation = self.end = self.brick = self.split = None
 
 
 def _derived_slot(m: Representation) -> _Derived:

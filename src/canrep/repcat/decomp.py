@@ -18,9 +18,7 @@ Over F_p, when the basis commutes, it counts the blocks of End(m) exactly:
 x -> x^p - x is F_p-linear on a commutative F_p-algebra and its kernel is
 spanned by the primitive idempotents (Berlekamp's count,
 ``_frobenius_blocks``).  One block means m is indecomposable.  Otherwise it
-tries seeded random combinations of the basis the same way.  Factorizations
-are kept in a dict for one top-level ``indecomposable_summands`` call, since
-the same few polynomials recur across elements and pieces.
+tries seeded random combinations of the basis the same way.
 
 Which "local" verdicts are exact:
 
@@ -53,6 +51,13 @@ straight into the kept pieces (and so into their kept verdicts and splits)
 with rng where a fresh split would leave it, and returns the same leaf
 objects.  A split found by the random candidates, the Frobenius blocks or the
 exhaustive idempotent search follows draws and is recomputed on every call.
+So the splitter keeps one decision per module, in one field of the slot
+(``split``): the walk's pieces, or no pieces for an exact "local" verdict.
+
+One coefficient grid (``_grid``) serves both searches over a basis: the
+isomorphism and monomorphism search (``_search``: the basis, then its seeded
+random combinations, then a small grid) and the exhaustive idempotent search,
+which walks every combination over F_2 or F_3.
 """
 
 from __future__ import annotations
@@ -100,12 +105,6 @@ def endo_minimal_polynomial(phi: Morphism):
     return minimal_polynomial(tuple(phi.maps.values()))
 
 
-def _sympy_mod():
-    import sympy
-
-    return sympy
-
-
 def factor_poly(field, coeffs):
     """Factor a polynomial over the field into [(monic_factor, multiplicity)]."""
     coeffs = poly_trim(field, coeffs)
@@ -123,7 +122,8 @@ def factor_poly(field, coeffs):
 
 
 def _factor_rational(field, coeffs):
-    sympy = _sympy_mod()
+    import sympy
+
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ")
     _, factors = poly.factor_list()
@@ -137,7 +137,8 @@ def _factor_rational(field, coeffs):
 
 
 def _factor_function_field(field, coeffs):
-    sympy = _sympy_mod()
+    import sympy
+
     B = field.base
     x, t = sympy.Symbol("x"), sympy.Symbol("t")
     # clear denominators: multiply by the lcm of all coefficient denominators
@@ -210,20 +211,14 @@ class Decomposition:
     iso_inverse: Morphism
 
 
-def _factored(m: Representation, phi: Morphism, factorizations):
-    """(minimal polynomial of phi, its [(monic factor, multiplicity)]).
-
-    The factors are None when the polynomial cannot be factored.
-    ``factorizations`` maps a minimal polynomial to its factors and is filled
-    as polynomials are met.
-    """
+def _factored(m: Representation, phi: Morphism):
+    """(minimal polynomial of phi, its [(monic factor, multiplicity)]); the
+    factors are None when the polynomial cannot be factored."""
     minpoly = endo_minimal_polynomial(phi)
-    if minpoly not in factorizations:
-        try:
-            factorizations[minpoly] = factor_poly(m.field, minpoly)
-        except DecompositionError:
-            factorizations[minpoly] = None
-    return minpoly, factorizations[minpoly]
+    try:
+        return minpoly, factor_poly(m.field, minpoly)
+    except DecompositionError:
+        return minpoly, None
 
 
 def _primary_split(m: Representation, phi: Morphism, factors):
@@ -244,12 +239,12 @@ def _primary_split(m: Representation, phi: Morphism, factors):
     return pieces
 
 
-def _basis_walk(m: Representation, basis, factorizations):
+def _basis_walk(m: Representation, basis):
     """Each element of ``basis``, a basis of End(m), in order, as (phi, factors,
     generates): the factors of phi's minimal polynomial (see ``_factored``), and
     whether its degree is dim End, so that End(m) = F[phi]."""
     for phi in basis:
-        minpoly, factors = _factored(m, phi, factorizations)
+        minpoly, factors = _factored(m, phi)
         yield phi, factors, len(minpoly) - 1 == len(basis)
 
 
@@ -262,6 +257,14 @@ def _candidates(basis, rng, trials):
             yield f
 
 
+def _grid(basis, values):
+    """Every combination of the basis with coefficients in ``values``, in the
+    lexicographic order of the coefficient tuples."""
+    src, tgt = basis[0].source, basis[0].target
+    for coeffs in itertools.product(values, repeat=len(basis)):
+        yield linear_combination(src, tgt, basis, coeffs)
+
+
 def _grid_values(field, bound):
     if isinstance(field, PrimeField):
         return [field.coerce(v) for v in range(min(field.p, bound + 1))]
@@ -272,17 +275,9 @@ def _search(basis, rng, accept, grid_bound):
     """The first of the basis and its random combinations, then (for at most 3
     basis elements) the first combination with coefficients in a small grid,
     that passes ``accept``."""
-    for f in itertools.chain(basis, _candidates(basis, rng, _DEFAULT_TRIALS)):
-        if accept(f):
-            return f
-    if len(basis) <= 3:
-        src, tgt = basis[0].source, basis[0].target
-        values = _grid_values(src.field, grid_bound)
-        for coeffs in itertools.product(values, repeat=len(basis)):
-            f = linear_combination(src, tgt, basis, coeffs)
-            if accept(f):
-                return f
-    return None
+    grid = _grid(basis, _grid_values(basis[0].source.field, grid_bound)) if len(basis) <= 3 else ()
+    return next(filter(accept, itertools.chain(basis, _candidates(basis, rng, _DEFAULT_TRIALS),
+                                               grid)), None)
 
 
 def _exhaustive(field, dim) -> bool:
@@ -294,13 +289,9 @@ def _exhaustive(field, dim) -> bool:
 def _idempotent_fallback(m, basis):
     """A split of m along a nontrivial idempotent of End(m), or None when End(m)
     has none; every element is tried (see ``_exhaustive``)."""
-    F = m.field
     ident = Morphism.identity(m)
-    for coeffs in itertools.product(range(F.p), repeat=len(basis)):
-        f = linear_combination(m, m, basis, coeffs)
-        if f.is_zero() or f == ident:
-            continue
-        if f.after(f) == f:
+    for f in _grid(basis, range(m.field.p)):
+        if not f.is_zero() and f != ident and f.after(f) == f:
             ker_rep, ker_incl = kernel(f)
             img_rep, img_incl, _ = image(f)
             return [(img_rep, img_incl), (ker_rep, ker_incl)]
@@ -345,31 +336,29 @@ def _replay_draws(field, rng, count: int, dim: int):
         _skip_draws(field, rng, count * dim)
 
 
-def _split_leaves(m: Representation, incl: Morphism, rng, trials, leaves, factorizations):
+def _split_leaves(m: Representation, incl: Morphism, rng, trials):
+    """The leaves of m, in order, as (leaf, incl after the leaf's inclusion into m)."""
     if m.is_zero():
         return
     kept = _derived_slot(m)
-    if kept.split is not None:
-        pieces = [(piece, Morphism(piece, m, maps, check=False)) for piece, maps in kept.split]
-    elif kept.leaf:
-        pieces = None
-        _replay_draws(m.field, rng, trials, len(kept.end))
-    else:
-        pieces, keep = _split(m, hom_basis(m, m), rng, trials, factorizations)
-        if keep and pieces:
+    if kept.split is None:
+        pieces, keep = _split(m, hom_basis(m, m), rng, trials)
+        pieces = pieces or []
+        if keep:
             kept.split = [(piece, piece_incl.maps) for piece, piece_incl in pieces]
-        elif keep:
-            kept.leaf = True
-    if pieces:
-        for piece, piece_incl in pieces:
-            _split_leaves(piece, incl.after(piece_incl), rng, trials, leaves, factorizations)
-        return
-    leaves.append((m, incl))
+    else:
+        pieces = [(piece, Morphism(piece, m, maps, check=False)) for piece, maps in kept.split]
+        if not pieces:
+            _replay_draws(m.field, rng, trials, len(kept.end))
+    if not pieces:
+        yield m, incl
+    for piece, piece_incl in pieces:
+        yield from _split_leaves(piece, incl.after(piece_incl), rng, trials)
 
 
-def _split(m: Representation, basis, rng, trials, factorizations):
+def _split(m: Representation, basis, rng, trials):
     """(pieces, keep): pieces that split m, or None when m is reported local,
-    and whether that answer may be kept on m.
+    and whether that answer may be kept on m (a kept "local" is no pieces).
 
     A verdict "local" is kept when it is exact: it makes the draws of the
     failed trial loop, and a kept one replays them.  A split is kept when the
@@ -379,7 +368,7 @@ def _split(m: Representation, basis, rng, trials, factorizations):
     draws and is not kept."""
     if len(basis) == 1:
         return None, True
-    for phi, factors, generates in _basis_walk(m, basis, factorizations):
+    for phi, factors, generates in _basis_walk(m, basis):
         pieces = _primary_split(m, phi, factors)
         if pieces:
             return pieces, True
@@ -393,13 +382,13 @@ def _split(m: Representation, basis, rng, trials, factorizations):
         _skip_draws(m.field, rng, trials * len(basis))
         return None, True
     for phi in _candidates(basis, rng, trials):
-        pieces = _primary_split(m, phi, _factored(m, phi, factorizations)[1])
+        pieces = _primary_split(m, phi, _factored(m, phi)[1])
         if pieces:
             return pieces, False
     if fixed is not None:
         # two or more blocks: a non-scalar fixed x has a minimal polynomial
         # dividing x^p - x, so distinct linear factors, and it splits m
-        return next(filter(None, (_primary_split(m, f, _factored(m, f, factorizations)[1])
+        return next(filter(None, (_primary_split(m, f, _factored(m, f)[1])
                                   for f in fixed)), None), False
     if _exhaustive(m.field, len(basis)):
         pieces = _idempotent_fallback(m, basis)
@@ -416,9 +405,7 @@ def indecomposable_summands(m: Representation, rng=None, trials=_DEFAULT_TRIALS)
     after the draws the verdict's first computation made; one whose basis-walk
     split is kept recurses straight into its kept pieces."""
     rng = rng if rng is not None else random.Random(0)
-    leaves = []
-    _split_leaves(m, Morphism.identity(m), rng, trials, leaves, {})
-    return leaves
+    return list(_split_leaves(m, Morphism.identity(m), rng, trials))
 
 
 def decompose(m: Representation, rng=None, trials=_DEFAULT_TRIALS) -> Decomposition:
@@ -531,7 +518,7 @@ def _exact_brick(m: Representation, basis):
     """``is_brick``'s answer where it is exact, else None (Q and k(t) only)."""
     if len(basis) == 1:
         return True
-    for _, factors, generates in _basis_walk(m, basis, {}):
+    for _, factors, generates in _basis_walk(m, basis):
         if factors is not None and (generates or not _irreducible(factors)):
             return _irreducible(factors)
     F = m.field

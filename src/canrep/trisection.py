@@ -41,6 +41,7 @@ from .repcat import (
     hom_dim,
     indecomposable_summands,
     is_brick,
+    is_indecomposable,
     is_irreducible_poly,
     is_isomorphic,
     projective_at,
@@ -142,14 +143,12 @@ def validate_tube(alg: CanonicalAlgebra, tube: TubeId):
 # classification
 # ---------------------------------------------------------------------------
 
-def classify(m: Representation, rng=None, certified: bool = False) -> TrisectLabel:
+def classify(m: Representation, rng=None) -> TrisectLabel:
     """Defect-sign label of an indecomposable; decomposable input is rejected."""
     if m.is_zero():
         raise TubeError("zero module has no trisection label")
-    if not certified:
-        rng = rng if rng is not None else random.Random(0)
-        if len(indecomposable_summands(m, rng)) != 1:
-            raise TubeError("classify needs an indecomposable module")
+    if not is_indecomposable(m, rng):
+        raise TubeError("classify needs an indecomposable module")
     return label_of_defect(m.algebra.defect_form()(m.dims))
 
 

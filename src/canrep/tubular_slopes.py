@@ -24,9 +24,9 @@ from .repcat import (
     direct_sum,
     find_injective_morphism,
     hom_dim,
-    indecomposable_summands,
     injective_at,
     is_brick,
+    is_indecomposable,
     projective_at,
     simple_at,
 )
@@ -163,10 +163,8 @@ def _embedded_radical(alg, quotient, killed) -> dict:
 def slope(m: Representation, tub: TubularAlgebra, rng=None,
           certified: bool = False) -> Slope:
     """Slope of an indecomposable away from the two extreme components."""
-    if not certified:
-        rng = rng if rng is not None else random.Random(0)
-        if len(indecomposable_summands(m, rng)) != 1:
-            raise TubeError("slope needs an indecomposable module")
+    if not certified and not is_indecomposable(m, rng):
+        raise TubeError("slope needs an indecomposable module")
     return tub.slope_of_dims(m.dims)
 
 
@@ -322,7 +320,7 @@ def _extension_middles(tub: TubularAlgebra, target: Slope, rng, budget):
             space = ExtSpace(high, low)
             for cls in space.basis()[:2]:
                 mid = cls.realize().middle
-                if len(indecomposable_summands(mid, rng)) == 1:
+                if is_indecomposable(mid, rng):
                     out.append(mid)
     return out
 

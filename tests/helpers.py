@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import itertools
 from types import SimpleNamespace
 
 from canrep.exactla import Matrix, PrimeField, RationalField
@@ -13,7 +14,9 @@ from canrep.repcat import (
     factor_through_injection,
     factor_through_surjection,
     hom_basis,
+    image,
     kernel,
+    linear_combination,
     minimal_projective_presentation,
     projective_cover,
     radical,
@@ -257,12 +260,53 @@ def reference_kills_classes(space, inclusion):
                for cls in space.basis())
 
 
+def reference_search(basis, rng, accept, grid_bound, trials=64):
+    """The first element that passes ``accept``, or None: the basis, then
+    ``trials`` seeded random combinations of it (one draw per element each, the
+    zero ones skipped), then, for at most 3 basis elements, every combination
+    with coefficients 0..grid_bound (below p over F_p) in lexicographic order."""
+    src, tgt = basis[0].source, basis[0].target
+    F = src.field
+    for f in basis:
+        if accept(f):
+            return f
+    for _ in range(trials):
+        f = linear_combination(src, tgt, basis, [F.random(rng) for _ in basis])
+        if not f.is_zero() and accept(f):
+            return f
+    if len(basis) <= 3:
+        if isinstance(F, PrimeField):
+            values = [F.coerce(v) for v in range(min(F.p, grid_bound + 1))]
+        else:
+            values = [F.from_int(v) for v in range(grid_bound + 1)]
+        for coeffs in itertools.product(values, repeat=len(basis)):
+            f = linear_combination(src, tgt, basis, coeffs)
+            if accept(f):
+                return f
+    return None
+
+
+def reference_idempotent_split(m, basis):
+    """[(image, inclusion), (kernel, inclusion)] of the first idempotent other
+    than 0 and 1 among the combinations of an End(m) basis over F_p with
+    coefficients in 0..p-1, in lexicographic order; None when there is none."""
+    ident = Morphism.identity(m)
+    for coeffs in itertools.product(range(m.field.p), repeat=len(basis)):
+        f = linear_combination(m, m, basis, coeffs)
+        if f.is_zero() or f == ident:
+            continue
+        if f.after(f) == f:
+            ker_rep, ker_incl = kernel(f)
+            img_rep, img_incl, _ = image(f)
+            return [(img_rep, img_incl), (ker_rep, ker_incl)]
+    return None
+
+
 def reference_find_injective_morphism(m, n, rng):
     """The seeded search over a Hom(m, n) basis, whatever the dimensions."""
-    from canrep.repcat.decomp import _search
-
     basis = hom_basis(m, n)
-    return _search(basis, rng, Morphism.is_injective, m.total_dim + n.total_dim) if basis else None
+    return (reference_search(basis, rng, Morphism.is_injective, m.total_dim + n.total_dim)
+            if basis else None)
 
 
 # ---------------------------------------------------------------------------

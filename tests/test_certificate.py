@@ -31,7 +31,7 @@ from canrep.repcat import (
 from canrep.serialize import rep_to_json
 from canrep.trisection import TubeId, uniserial_tower
 
-from helpers import F2, F3, F5, QQ, conjugate, kron, kron_jordan
+from helpers import F2, F3, F5, QQ, conjugate, kron, kron_jordan, reference_idempotent_split
 
 # monic irreducible quadratics, ascending coefficients
 QUADRATIC = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1)}
@@ -107,10 +107,27 @@ def test_noncommutative_end_gets_no_certificate(F):
         assert len(indecomposable_summands(m, random.Random(3))) == 2, name
 
 
+def _pieces(pieces):
+    return pieces and [(rep.dims, rep.arrows, incl.maps) for rep, incl in pieces]
+
+
+@pytest.mark.parametrize("F", [F2, F3], ids=["F2", "F3"])
+def test_idempotent_split_matches_the_reference_grid_walk(F):
+    """The exhaustive idempotent search finds the same first idempotent, in the
+    same lexicographic coefficient order, as a plain product loop."""
+    found = []
+    for name, m in _commutative_cases(F) + _noncommutative_cases(F):
+        basis = hom_basis(m, m)
+        pieces = decomp._idempotent_fallback(m, basis)
+        assert _pieces(pieces) == _pieces(reference_idempotent_split(m, basis)), name
+        found.append(pieces is not None)
+    assert any(found) and not all(found)
+
+
 @pytest.mark.parametrize("F", [F2, F3], ids=["F2", "F3"])
 def test_split_along_a_fixed_element_when_no_trial_splits(F, monkeypatch):
     """With no basis walk and no trials, the fixed space splits."""
-    monkeypatch.setattr(decomp, "_basis_walk", lambda m, basis, factorizations: iter(()))
+    monkeypatch.setattr(decomp, "_basis_walk", lambda m, basis: iter(()))
     monkeypatch.setattr(decomp, "_candidates", lambda basis, rng, trials: iter(()))
     for name, m in _commutative_cases(F):
         basis = hom_basis(m, m)
@@ -249,8 +266,8 @@ def test_generator_certificate_changes_no_leaf_and_no_draw(F, monkeypatch):
     expected = [_leaves(m, 13) for _, m in cases]
     with_generator = len(counted)
     walk = decomp._basis_walk
-    monkeypatch.setattr(decomp, "_basis_walk", lambda m, basis, factorizations: (
-        (phi, factors, False) for phi, factors, _ in walk(m, basis, factorizations)))
+    monkeypatch.setattr(decomp, "_basis_walk", lambda m, basis: (
+        (phi, factors, False) for phi, factors, _ in walk(m, basis)))
     counted.clear()
     for (name, m), leaves in zip(_commutative_cases(F), expected):
         assert _leaves(m, 13) == leaves, name

@@ -259,6 +259,8 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
     (" , ", "partition-tubes"),
     ("", "omega-left"),
     (" , ", "omega-right"),
+    ("zz", "peg"),                                      # a --peg that names no vertex
+    ("", "peg"),
     (_rep_text().replace('"dims"', '"dimz"'), "hom"),   # a representation without dims
     (KRON_F5, "decompose"),                             # an algebra spec given as the module
     (_rep_text(KRON_QT, arrows='{"x1": [["(t)/(0)"]]}'), "rep"),  # a zero polynomial denominator
@@ -274,7 +276,7 @@ def _rep_text(algebra=KRON_F5, dims='{"0": 1, "c": 1}', arrows="{}"):
         "arm-letter", "arm-empty", "arm-fraction", "foo", "pt",
         "ratio-word", "ratio-no-denominator", "ratio-zero-denominator", "ratio-nan",
         "ratios-empty", "ratios-blank", "partition-tubes-empty", "partition-tubes-blank",
-        "omega-left-tubes-empty", "omega-right-tubes-blank",
+        "omega-left-tubes-empty", "omega-right-tubes-blank", "peg-unknown-vertex", "peg-empty",
         "no-dims", "algebra-as-rep", "qt-zero-poly-denominator", "qt-zero-denominator",
         "fpt-fraction", "fp-modulus-float", "fp-modulus-bool", "fpt-modulus-float",
         "fpt-modulus-bool"])
@@ -292,6 +294,9 @@ def test_malformed_json_is_a_parse_error(files, capsys, text, where):
     elif where in ("partition-tubes", "omega-left", "omega-right"):
         argv = [where, "--seed", "1", "--rep", files["mix"], "--tubes", text]
         argv += [] if where == "partition-tubes" else ["--depth", "1"]
+    elif where == "peg":
+        argv = ["peg-growth", "--algebra", files["alg"], "--tube", "pt:t", "--rmax", "1",
+                "--peg", text]
     elif where == "hom":
         argv = ["hom", "--source", files["pc"], "--target", str(bad)]
     elif where == "decompose":

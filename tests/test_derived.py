@@ -1,8 +1,9 @@
 """The derived-data slot a module keeps (``repcat.core._derived_slot``): its
-presentation, End's basis, the exact leaf and brick verdicts, and the split
-the basis walk found.  Modules
-cannot change (read-only ``dims`` and ``arrows``, which cannot be rebound), so
-the slot is never stale; every construction path is checked for that.
+presentation, End's basis, the exact brick verdict, and the splitter's kept
+decision: the split the basis walk found, or no pieces for an exact "local"
+verdict.  Modules cannot change (read-only ``dims`` and ``arrows``, which
+cannot be rebound), so the slot is never stale; every construction path is
+checked for that.
 
 Oracles: the same call on an equal fresh copy of the module (answer and rng
 state), counts of the commuting-square systems and basis walks a call makes,
@@ -110,9 +111,9 @@ def _counting(monkeypatch, generators):
         counts["systems"] += 1
         return system(m, n)
 
-    def counted_walk(m, basis, factorizations):
+    def counted_walk(m, basis):
         counts["walks"] += 1
-        for phi, factors, generates in walk(m, basis, factorizations):
+        for phi, factors, generates in walk(m, basis):
             yield phi, factors, generates and generators
 
     monkeypatch.setattr(core, "_hom_system", counted_system)
@@ -263,7 +264,7 @@ def test_a_verdict_from_trials_keeps_nothing(monkeypatch):
         assert results[0] == results[1]
         assert results[0][0] == expected
         kept = core._derived_slot(m)
-        assert kept.leaf is None and kept.brick is None and len(kept.end) == 2
+        assert kept.split is None and kept.brick is None and len(kept.end) == 2
         assert candidates == [draws, draws]
         candidates.clear()
 
@@ -276,7 +277,7 @@ def test_a_certified_module_is_freed_by_reference_counting():
         rng = random.Random(16)
         classify(m, rng)
         is_brick(m, rng)
-        assert core._derived_slot(m).leaf and core._derived_slot(m).brick is False
+        assert core._derived_slot(m).split == [] and core._derived_slot(m).brick is False
         ref = weakref.ref(m)
         del m
         assert ref() is None
@@ -400,8 +401,8 @@ def test_a_split_from_random_candidates_is_not_kept(monkeypatch):
     candidates: nothing is kept, and each call splits again with the same draws."""
     walk = decomp._basis_walk
 
-    def no_split(m, basis, factorizations):
-        for phi, _, _ in walk(m, basis, factorizations):
+    def no_split(m, basis):
+        for phi, _, _ in walk(m, basis):
             yield phi, None, False
 
     monkeypatch.setattr(decomp, "_basis_walk", no_split)
@@ -410,7 +411,7 @@ def test_a_split_from_random_candidates_is_not_kept(monkeypatch):
     counts = _counting_calls(monkeypatch, "_primary_split")
     results = [_call(_leaves, m, 29) for _ in range(2)]
     assert len(results[0][0]) == 2 and results[0] == results[1]
-    assert core._derived_slot(m).split is None and core._derived_slot(m).leaf is None
+    assert core._derived_slot(m).split is None
     assert counts["_primary_split"] >= 2
 
 

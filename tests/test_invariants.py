@@ -41,7 +41,7 @@ from canrep.repcat import (
     simple_at,
     top,
 )
-from canrep.repcat.decomp import _search, find_injective_morphism
+from canrep.repcat.decomp import find_injective_morphism
 from canrep.trisection import TubeId, regular_simples, split_trisect, uniserial_tower
 from canrep.tubular_slopes import TubularAlgebra
 
@@ -62,6 +62,7 @@ from helpers import (
     reference_presentation,
     reference_pullback,
     reference_pushout,
+    reference_search,
 )
 
 
@@ -380,7 +381,8 @@ def _reference_is_isomorphic(m, n, rng):
     if m.is_zero():
         return Morphism.zero(m, n)
     basis = hom_basis(m, n)
-    return _search(basis, rng, lambda f: f.inverse() is not None, m.total_dim) if basis else None
+    return (reference_search(basis, rng, lambda f: f.inverse() is not None, m.total_dim)
+            if basis else None)
 
 
 def test_is_isomorphic_accepts_injective_candidates(monkeypatch):
@@ -402,6 +404,25 @@ def test_is_isomorphic_accepts_injective_candidates(monkeypatch):
         call_rng = random.Random(k)
         assert is_isomorphic(m, n, call_rng) == ref
         assert call_rng.random() == draw
+
+
+def test_the_grid_finds_an_isomorphism_the_basis_misses(monkeypatch):
+    """With no random trials, an isomorphism between sums of distinct regular
+    simples, whose Hom basis has no invertible element, comes from the
+    coefficient grid: the same map as the reference search's grid walk."""
+    monkeypatch.setattr(decomp, "_DEFAULT_TRIALS", 0)
+    rng = random.Random(19)
+    for F in (F3, F5, QQ):
+        alg = kron(F)
+        for count in (2, 3):
+            m = direct_sum([kron_point(alg, a) for a in range(count)]).rep
+            n = conjugate(m, rng)
+            basis = hom_basis(m, n)
+            assert len(basis) == count and not any(b.is_injective() for b in basis)
+            f = is_isomorphic(m, n, random.Random(20))
+            assert f is not None
+            assert f == reference_search(basis, random.Random(20), Morphism.is_injective,
+                                         m.total_dim, trials=0)
 
 
 def test_hom_proj_dim_formula():
