@@ -69,21 +69,19 @@ def poly_scale(F, a, s):
 
 
 def poly_divmod(F, a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, in one pass down from a's top."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [F.zero] * max(0, len(a) - len(b) + 1)
     inv_lead = F.inv(b[-1])
-    while len(a) >= len(b) and poly_trim(F, a):
-        a = list(poly_trim(F, a))
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = F.mul(a[-1], inv_lead)
-        q[shift] = factor
-        for i, y in enumerate(b):
-            a[shift + i] = F.sub(a[shift + i], F.mul(factor, y))
-    return poly_trim(F, q), poly_trim(F, a)
+    n = len(b) - 1
+    r = list(a)
+    q = [F.zero] * max(0, len(r) - n)
+    for shift in reversed(range(len(q))):
+        if r[shift + n] != F.zero:
+            q[shift] = factor = F.mul(r[shift + n], inv_lead)
+            for i in range(n):
+                r[shift + i] = F.sub(r[shift + i], F.mul(factor, b[i]))
+    return poly_trim(F, q), poly_trim(F, r[:n])
 
 
 def poly_gcd_monic(F, a, b):

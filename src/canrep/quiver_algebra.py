@@ -350,6 +350,20 @@ class CanonicalAlgebra(QuiverAlgebra):
             raise AlgebraError(f"no arm {i}")
         return self._composite_labels(self.weights, i)
 
+    def arm_point(self, i: int):
+        """The point of P^1 where composite i vanishes: None (∞) for 1, 0 for 2,
+        l_i for i >= 3.
+
+        Where arm_1 is invertible, the relations arm_i = arm_2 - l_i*arm_1 make
+        composite i equal arm_1*(x - l_i) with x = arm_1^{-1}*arm_2, so the
+        arm-i tube sits at x = l_i.  On the Kronecker quiver x1 and x2 are
+        composites 1 and 2.
+        """
+        self.arm_composite(i)  # refuses an index with no composite
+        if i == 1:
+            return None
+        return self.field.zero if i == 2 else self.params[i - 3]
+
     def defect_form(self) -> "DefectForm":
         return DefectForm(self)
 

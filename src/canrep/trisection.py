@@ -3,10 +3,13 @@
 Tube identifiers: "arm:i" for the rank-p_i tubes attached to the arms, and
 "pt:<monic irreducible>" (or "pt:∞" on the Kronecker quiver) for the
 homogeneous tubes.  With the relation convention arm_i = arm_2 - l_i*arm_1,
-the arm tubes occupy the points ∞ (arm 1), 0 (arm 2) and l_i (arm i >= 3);
-degree-one homogeneous labels exclude exactly those values, and every tube
-construction is certified by the predicate: defect zero, brick, and a cyclic
-tau-orbit of the full rank.
+the arm tubes occupy the points ``CanonicalAlgebra.arm_point(i)``: ∞ (arm 1),
+0 (arm 2) and l_i (arm i >= 3); degree-one homogeneous labels exclude exactly
+those values.  ``_pencil_module`` builds every mouth that is not a simple at
+an arm vertex: a point tube's mouth at the companion matrix of its label (or
+∞), and arm i's mouth off the arm at arm_point(i).  Every tube construction
+is certified by the predicate: defect zero, brick, and a cyclic tau-orbit of
+the full rank.
 
 Each tube's mouth orbit and, per (tube, socle), the longest uniserial tower
 built so far are kept in ``alg.module_cache``, so they are built and
@@ -30,7 +33,7 @@ from .exactla import (
     poly_trim,
 )
 from .homology import ExtSpace, tau_inverse
-from .quiver_algebra import SINK, SOURCE, CanonicalAlgebra, arm_vertex
+from .quiver_algebra import SOURCE, CanonicalAlgebra, arm_vertex
 from .repcat import (
     Morphism,
     Representation,
@@ -118,8 +121,9 @@ def validate_tube(alg: CanonicalAlgebra, tube: TubeId):
         if not 1 <= (tube.arm or 0) <= t:
             raise TubeError(f"no arm {tube.arm} on this algebra")
         return
+    arm_points = [alg.arm_point(i) for i in range(1, t + 1)]
     if tube.is_infinity:
-        if t >= 1:
+        if None in arm_points:
             raise TubeError("∞ is the arm-1 point on weighted algebras")
         return
     poly = poly_trim(alg.field, tube.poly)
@@ -128,12 +132,7 @@ def validate_tube(alg: CanonicalAlgebra, tube: TubeId):
     if poly[-1] != alg.field.one:
         raise TubeError("point polynomial must be monic")
     if len(poly) == 2:
-        a = alg.field.neg(poly[0])
-        specials = []
-        if t >= 2:
-            specials.append(alg.field.zero)
-        specials.extend(alg.params)
-        if a in specials:
+        if alg.field.neg(poly[0]) in arm_points:
             raise TubeError("degree-one point collides with an arm tube")
     elif not is_irreducible_poly(alg.field, poly):
         raise TubeError("point polynomial must be irreducible")
@@ -209,64 +208,31 @@ def _grouped_sum_onto(m: Representation, groups, what: str):
 # regular simples
 # ---------------------------------------------------------------------------
 
-def _point_simple(alg: CanonicalAlgebra, tube: TubeId) -> Representation:
+def _pencil_module(alg: CanonicalAlgebra, x, skip=None) -> Representation:
+    """The module at the point x of P^1: x a d x d matrix, or None for ∞ (d = 1).
+
+    The first arrow of composite j is x - arm_point(j)*I (I for arm 1); at ∞,
+    arm 1 acts by 0 and every other composite by 1.  The remaining arrows are
+    identities, and the interior of arm ``skip`` is dropped.
+    """
     F = alg.field
-    t = alg.arm_count
-    if tube.is_infinity:
-        dims = {SOURCE: 1, SINK: 1}
-        zero = Matrix.zeros(F, 1, 1)
-        one = Matrix.identity(F, 1)
-        return Representation(alg, dims, {"x1": zero, "x2": one})
-    poly = poly_trim(F, tube.poly)
-    d = len(poly) - 1
-    comp = companion_matrix(F, poly)
-    ident = Matrix.identity(F, d)
-    dims = {v: d for v in alg.vertices}
-    if t == 0:
-        return Representation(alg, dims, {"x1": ident, "x2": comp})
+    ident = Matrix.identity(F, 1 if x is None else x.rows)
+    dims = {v: ident.rows for v in alg.vertices}
+    if skip is not None:
+        dims.update(dict.fromkeys(alg.arm_vertices(skip), 0))
     arrows = {}
-    for i in range(1, t + 1):
-        if i == 1:
-            first = ident
-        elif i == 2:
-            first = comp
+    for j in range(1, (alg.arm_count or 2) + 1):
+        if j == skip:
+            continue  # zero-dimensional middles force zero matrices
+        point = alg.arm_point(j)
+        if x is None:
+            first = Matrix.zeros(F, 1, 1) if point is None else ident
         else:
-            lam = alg.params[i - 3]
-            first = comp - ident.scale(lam)
-        labels = alg.arm_composite(i)
+            first = ident if point is None else x - ident.scale(point)
+        labels = alg.arm_composite(j)
         arrows[labels[0]] = first
         for lbl in labels[1:]:
             arrows[lbl] = ident
-    return Representation(alg, dims, arrows)
-
-
-def _arm_connecting_module(alg: CanonicalAlgebra, i: int) -> Representation:
-    """The mouth module supported off arm i (dims 1 everywhere else)."""
-    F = alg.field
-    t = alg.arm_count
-    dims = {v: 1 for v in alg.vertices}
-    for v in alg.arm_vertices(i):
-        dims[v] = 0
-    if i == 1:
-        beta = {j: F.one for j in range(1, t + 1)}
-    elif i == 2:
-        beta = {1: F.one}
-        for j in range(3, t + 1):
-            beta[j] = F.neg(alg.params[j - 3])
-    else:
-        lam_i = alg.params[i - 3]
-        beta = {1: F.one, 2: lam_i}
-        for j in range(3, t + 1):
-            if j != i:
-                beta[j] = F.sub(lam_i, alg.params[j - 3])
-    arrows = {}
-    for j in range(1, t + 1):
-        labels = alg.arm_composite(j)
-        if j == i:
-            continue  # zero-dimensional middles force zero matrices
-        arrows[labels[0]] = Matrix(F, 1, 1, [[beta[j]]])
-        for lbl in labels[1:]:
-            arrows[lbl] = Matrix.identity(F, 1)
     return Representation(alg, dims, arrows)
 
 
@@ -286,35 +252,31 @@ def regular_simples(alg: CanonicalAlgebra, tube: TubeId, rng=None) -> list[Repre
 
 
 def _mouth_orbit(alg: CanonicalAlgebra, tube: TubeId, rng) -> list[Representation]:
-    delta = alg.defect_form()
+    """A point tube's one mouth, or an arm tube's simples at the arm vertices and
+    the mouth off the arm, certified and walked into tau^{-1} order."""
+    F = alg.field
     if tube.kind == "point":
-        s = _point_simple(alg, tube)
-        _verify_mouth(s, delta, rng)
-        back = tau_inverse(s)
-        if is_isomorphic(back, s, rng) is None:
-            raise TubeError("homogeneous mouth is not tau-stable")
-        return [s]
-    i = tube.arm
-    candidates = [_arm_connecting_module(alg, i)]
-    candidates += [
-        Representation(alg, {arm_vertex(i, j): 1}, {}, check=False)
-        for j in range(1, alg.weights[i - 1])
-    ]
+        x = None if tube.is_infinity else companion_matrix(F, poly_trim(F, tube.poly))
+        candidates = [_pencil_module(alg, x)]
+    else:
+        i = tube.arm
+        point = alg.arm_point(i)
+        candidates = [Representation(alg, {arm_vertex(i, j): 1}, {}, check=False)
+                      for j in range(1, alg.weights[i - 1])]
+        candidates.append(_pencil_module(
+            alg, None if point is None else Matrix(F, 1, 1, [[point]]), skip=i))
+    delta = alg.defect_form()
     for c in candidates:
         _verify_mouth(c, delta, rng)
-    orbit = [candidates[1] if len(candidates) > 1 else candidates[0]]
-    remaining = [c for c in candidates if c is not orbit[0]]
-    cur = orbit[0]
+    orbit, remaining = candidates[:1], candidates[1:]
     while remaining:
-        nxt = tau_inverse(cur)
+        nxt = tau_inverse(orbit[-1])
         match = next((c for c in remaining if is_isomorphic(c, nxt, rng) is not None), None)
         if match is None:
             raise TubeError("tau walk left the candidate mouth set")
         orbit.append(match)
         remaining.remove(match)
-        cur = match
-    closing = tau_inverse(cur)
-    if is_isomorphic(closing, orbit[0], rng) is None:
+    if is_isomorphic(tau_inverse(orbit[-1]), orbit[0], rng) is None:
         raise TubeError("tau orbit does not close up")
     return orbit
 
@@ -344,13 +306,6 @@ def tau_period(s: Representation, rng=None) -> int:
 # tube membership
 # ---------------------------------------------------------------------------
 
-def _composites(m: Representation):
-    alg = m.algebra
-    t = alg.arm_count
-    idx = range(1, t + 1) if t else (1, 2)
-    return {i: m.eval_path(alg.arm_composite(i), SOURCE) for i in idx}
-
-
 def tube_of(m: Representation, rng=None) -> TubeId:
     """Tube of an indecomposable regular module via the Hom-membership predicate."""
     return _tube_position(m, rng)[0]
@@ -372,8 +327,7 @@ def _tube_position(m: Representation, rng=None):
                   if hom_dim(s, m) > 0), None)
         if k is not None:
             return tube, k
-    comps = _composites(m)
-    x1 = comps[1]
+    x1, x2 = (m.eval_path(alg.arm_composite(i), SOURCE) for i in (1, 2))
     x1_inv = x1.inverse() if x1.rows == x1.cols else None
     if x1_inv is None:
         if t == 0:
@@ -381,7 +335,7 @@ def _tube_position(m: Representation, rng=None):
             if hom_dim(regular_simples(alg, tube, rng)[0], m) > 0:
                 return tube, 0
         raise TubeError("module is not supported in a single tube")
-    op = x1_inv * comps[2]
+    op = x1_inv * x2
     coeffs = minimal_polynomial((op,))
     factors = factor_poly(alg.field, coeffs)
     if len(factors) != 1:

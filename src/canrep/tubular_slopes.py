@@ -160,10 +160,9 @@ def _embedded_radical(alg, quotient, killed) -> dict:
     return {v: vec.get(v, 0) for v in alg.vertices}
 
 
-def slope(m: Representation, tub: TubularAlgebra, rng=None,
-          certified: bool = False) -> Slope:
+def slope(m: Representation, tub: TubularAlgebra, rng=None) -> Slope:
     """Slope of an indecomposable away from the two extreme components."""
-    if not certified and not is_indecomposable(m, rng):
+    if not is_indecomposable(m, rng):
         raise TubeError("slope needs an indecomposable module")
     return tub.slope_of_dims(m.dims)
 
@@ -193,10 +192,10 @@ def slope_order_check(m: Representation, n: Representation, tub: TubularAlgebra,
 # ---------------------------------------------------------------------------
 
 def _valid_scalars(alg, count):
-    """Deterministic non-special scalars for homogeneous tube labels."""
+    """Deterministic scalars other than the arm points, for homogeneous tube labels."""
     F = alg.field
     out = []
-    specials = {F.zero} | set(alg.params)
+    specials = {alg.arm_point(i) for i in range(1, alg.arm_count + 1)}
     k = 1
     guard = 0
     while len(out) < count:
@@ -292,7 +291,7 @@ def slope_pool(tub: TubularAlgebra, target: Slope, rng=None, budget: int = 16):
     else:
         cands = _extension_middles(tub, target, rng, budget)
     out = [c for c in cands
-           if c.total_dim <= budget and slope(c, tub, rng, certified=True) == target]
+           if c.total_dim <= budget and tub.slope_of_dims(c.dims) == target]
     out.sort(key=lambda r: (r.total_dim, tuple(r.dims[v] for v in tub.algebra.vertices)))
     return out
 

@@ -3,8 +3,8 @@
 import itertools
 from types import SimpleNamespace
 
-from canrep.exactla import Matrix, PrimeField, RationalField
-from canrep.homology import ExtSpace, ShortExactSequence
+from canrep.exactla import Matrix, PrimeField, RationalField, companion_matrix, poly_trim
+from canrep.homology import ExtSpace, ShortExactSequence, tau_inverse
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
     Morphism,
@@ -15,6 +15,7 @@ from canrep.repcat import (
     factor_through_surjection,
     hom_basis,
     image,
+    is_isomorphic,
     kernel,
     linear_combination,
     minimal_projective_presentation,
@@ -22,6 +23,7 @@ from canrep.repcat import (
     radical,
     span_coordinates,
 )
+from canrep.trisection import _verify_mouth
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -395,3 +397,112 @@ def reference_solve(a, b):
     for i, pj in enumerate(pivots):
         x[pj] = m[i][a.cols:]
     return Matrix(F, a.cols, b.cols, x)
+
+
+def reference_poly_divmod(F, a, b):
+    """(quotient, remainder) of a by b, re-trimming the remainder at every step."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = F.inv(b[-1])
+    while len(a) >= len(b) and poly_trim(F, a):
+        a = list(poly_trim(F, a))
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        factor = F.mul(a[-1], inv_lead)
+        q[shift] = factor
+        for i, y in enumerate(b):
+            a[shift + i] = F.sub(a[shift + i], F.mul(factor, y))
+    return poly_trim(F, q), poly_trim(F, a)
+
+
+# ---------------------------------------------------------------------------
+# tube mouths written out per case, with the arm points read off the params
+# ---------------------------------------------------------------------------
+
+def reference_point_simple(alg, tube):
+    """The mouth of a point tube: the companion matrix on arm 2, shifted by l_i on arm i."""
+    F = alg.field
+    t = alg.arm_count
+    if tube.is_infinity:
+        return Representation(alg, {"0": 1, "c": 1},
+                              {"x1": Matrix.zeros(F, 1, 1), "x2": Matrix.identity(F, 1)})
+    poly = poly_trim(F, tube.poly)
+    d = len(poly) - 1
+    comp = companion_matrix(F, poly)
+    ident = Matrix.identity(F, d)
+    dims = {v: d for v in alg.vertices}
+    if t == 0:
+        return Representation(alg, dims, {"x1": ident, "x2": comp})
+    arrows = {}
+    for i in range(1, t + 1):
+        if i == 1:
+            first = ident
+        elif i == 2:
+            first = comp
+        else:
+            first = comp - ident.scale(alg.params[i - 3])
+        labels = alg.arm_composite(i)
+        arrows[labels[0]] = first
+        for lbl in labels[1:]:
+            arrows[lbl] = ident
+    return Representation(alg, dims, arrows)
+
+
+def reference_arm_connecting_module(alg, i):
+    """The mouth of arm tube i supported off arm i, one beta scalar per other arm."""
+    F = alg.field
+    t = alg.arm_count
+    dims = {v: 1 for v in alg.vertices}
+    for v in alg.arm_vertices(i):
+        dims[v] = 0
+    if i == 1:
+        beta = {j: F.one for j in range(1, t + 1)}
+    elif i == 2:
+        beta = {1: F.one}
+        for j in range(3, t + 1):
+            beta[j] = F.neg(alg.params[j - 3])
+    else:
+        lam_i = alg.params[i - 3]
+        beta = {1: F.one, 2: lam_i}
+        for j in range(3, t + 1):
+            if j != i:
+                beta[j] = F.sub(lam_i, alg.params[j - 3])
+    arrows = {}
+    for j in range(1, t + 1):
+        if j == i:
+            continue
+        labels = alg.arm_composite(j)
+        arrows[labels[0]] = Matrix(F, 1, 1, [[beta[j]]])
+        for lbl in labels[1:]:
+            arrows[lbl] = Matrix.identity(F, 1)
+    return Representation(alg, dims, arrows)
+
+
+def reference_mouth_orbit(alg, tube, rng):
+    """The tau^{-1} orbit of a tube's mouths from the two builders above: a point
+    tube's one mouth checked tau-stable, or an arm tube's connecting module and
+    vertex simples walked from the simple at the arm's first vertex."""
+    delta = alg.defect_form()
+    if tube.kind == "point":
+        s = reference_point_simple(alg, tube)
+        _verify_mouth(s, delta, rng)
+        assert is_isomorphic(tau_inverse(s), s, rng) is not None
+        return [s]
+    i = tube.arm
+    candidates = [reference_arm_connecting_module(alg, i)]
+    candidates += [Representation(alg, {f"{i}.{j}": 1}, {}, check=False)
+                   for j in range(1, alg.weights[i - 1])]
+    for c in candidates:
+        _verify_mouth(c, delta, rng)
+    orbit = [candidates[1]]
+    remaining = [c for c in candidates if c is not orbit[0]]
+    while remaining:
+        nxt = tau_inverse(orbit[-1])
+        match = next(c for c in remaining if is_isomorphic(c, nxt, rng) is not None)
+        orbit.append(match)
+        remaining.remove(match)
+    assert is_isomorphic(tau_inverse(orbit[-1]), orbit[0], rng) is not None
+    return orbit

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from canrep.errors import DimensionMismatch, TubeError
+from canrep.errors import DecompositionError, DimensionMismatch, TubeError
 from canrep.exactla import Matrix, companion_matrix
 from canrep.homology import ExtSpace, tau
 from canrep.approx import TruncationParams, left_omega_approx
@@ -48,6 +48,7 @@ from canrep.trisection import (
     TubeId,
     classify,
     partition_by_tubes,
+    regular_simples,
     split_trisect,
     tube_of,
     uniserial_tower,
@@ -413,6 +414,25 @@ def test_a_split_from_random_candidates_is_not_kept(monkeypatch):
     assert len(results[0][0]) == 2 and results[0] == results[1]
     assert core._derived_slot(m).split is None
     assert counts["_primary_split"] >= 2
+
+
+def test_a_polynomial_that_cannot_be_factored_gives_no_split(monkeypatch):
+    """A factoring failure reads as no split and no certificate: the sum of two
+    Kronecker mouths from distinct tubes stays one leaf, nothing is kept, and
+    once factoring works again the splitter finds both summands."""
+    alg = kron(F5)
+    mouths = [regular_simples(alg, TubeId.for_point(p))[0] for p in ((0, 1), (4, 1))]
+    m = conjugate(direct_sum(mouths).rep, random.Random(32))
+
+    def refuse(field, coeffs):
+        raise DecompositionError("no factorization backend")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(decomp, "factor_poly", refuse)
+        assert [leaf for leaf, _ in indecomposable_summands(m, random.Random(33))] == [m]
+    assert core._derived_slot(m).split is None
+    leaves = indecomposable_summands(m, random.Random(33))
+    assert sorted(leaf.dims_tuple() for leaf, _ in leaves) == [(1, 1), (1, 1)]
 
 
 def test_a_split_module_is_freed_by_reference_counting():

@@ -12,9 +12,12 @@ from canrep.exactla import (
     RationalField,
     companion_matrix,
     field_from_spec,
+    poly_divmod,
     poly_parse,
     poly_to_str,
 )
+
+from helpers import reference_poly_divmod
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -81,6 +84,31 @@ def test_poly_parse_round_trip():
         coeffs = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 5)))
         s = poly_to_str(QQ, coeffs)
         assert poly_to_str(QQ, poly_parse(QQ, s)) == s
+
+
+def _divmod_or_error(divmod_, F, a, b):
+    try:
+        return divmod_(F, a, b)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), F5, PrimeField(7), QQ], ids=str)
+def test_poly_divmod_matches_the_retrimming_loop(F):
+    """Random pairs, zero and untrimmed ones included: an untrimmed divisor
+    (a zero top coefficient) raises on both sides."""
+    rng = random.Random(13)
+    raised = 0
+    for _ in range(600):
+        a = tuple(F.random(rng) if rng.random() < 0.7 else F.zero
+                  for _ in range(rng.randrange(9)))
+        b = tuple(F.random(rng) for _ in range(rng.randrange(6)))
+        if b and rng.random() < 0.2:
+            b += (F.zero,)
+        got = _divmod_or_error(poly_divmod, F, a, b)
+        assert got == _divmod_or_error(reference_poly_divmod, F, a, b), (a, b)
+        raised += got is ZeroDivisionError
+    assert raised > 60
 
 
 def test_field_spec_round_trip():

@@ -15,7 +15,11 @@ and ``omega-right``; ``hom`` with its printed basis (``w222_hom_f5``, dim 5);
 over F_5 with a non-projective syzygy, Ext^1 of dim 3 and Hom of dim 6, so
 every term of the Hom-Ext exact sequence is nonzero); ``tau``
 and ``tau --inverse`` on mixes with a projective summand; ``sbracket`` on
-an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q; and
+an arm tube of (2, 2, 2) over F_5 and a degree-two point tube over Q;
+``tube-simples`` (``*_tube_simples_*``) at ∞ on the Kronecker quiver over Q,
+on arms 1 and 2 of (2, 3) over F_5 (``w23_f5.alg.json``), on arms 1 and 3
+and the point t^2+2 of (2, 2, 2) over F_5, and on arm 4 of (2, 2, 2, 2)
+over F_5, so every case of the mouth builder prints; and
 ``chain`` (``w2222_chain_f5``: ``--ratios 0,1,∞`` on the tubular algebra
 (2, 2, 2, 2) over F_5 of ``w2222_f5.alg.json``, whose monomorphism search
 meets 15 pairs with Hom != 0 where the dimensions already rule out a

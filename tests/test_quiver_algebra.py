@@ -31,6 +31,16 @@ def test_two_weight_counts():
     assert len(a.relations) == 0
 
 
+def test_arm_points():
+    # arm_i = arm_2 - l_i*arm_1: composite i vanishes at ∞ (i = 1), 0 (i = 2), l_i
+    a = canonical_algebra(F5, [2, 2, 2, 2], [2, 3])
+    assert [a.arm_point(i) for i in range(1, 5)] == [None, 0, 2, 3]
+    assert [canonical_algebra(F5, [], []).arm_point(i) for i in (1, 2)] == [None, 0]
+    for alg, i in ((a, 5), (a, 0), (canonical_algebra(F5, [], []), 3)):
+        with pytest.raises(AlgebraError):
+            alg.arm_point(i)
+
+
 def test_constructor_validation():
     with pytest.raises(AlgebraError):
         canonical_algebra(QQ, [1, 2], [])

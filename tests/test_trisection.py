@@ -5,6 +5,7 @@ import pytest
 
 from canrep.approx import prufer_chain
 from canrep.errors import ParseError, TubeError
+from canrep.exactla import PrimeField
 from canrep.homology import ext1_dim
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
@@ -34,7 +35,7 @@ from canrep.trisection import (
     validate_tube,
 )
 
-from helpers import F5, QQ, conjugate, kron, kron_jordan, kron_point
+from helpers import F5, QQ, conjugate, kron, kron_jordan, kron_point, reference_mouth_orbit
 
 
 def test_classify_examples():
@@ -155,6 +156,28 @@ def test_regular_simples_arm_tube_with_relation():
     for i in (1, 2, 3):
         orbit = regular_simples(alg, TubeId.for_arm(i))
         assert len(orbit) == 2
+
+
+# (field, weights, params, tubes): every arm tube, ∞, and points of degree 1 and 2
+MOUTH_FAMILIES = [
+    (QQ, [], [], ["pt:∞", "pt:t", "pt:t+1", "pt:t^2+1"]),
+    (F5, [2, 3], [], ["arm:1", "arm:2", "pt:t+1", "pt:t^2+2"]),
+    (F5, [2, 2, 2], [2], ["arm:1", "arm:2", "arm:3", "pt:t+4", "pt:t^2+2"]),
+    (F5, [2, 2, 2, 2], [2, 3], ["arm:1", "arm:2", "arm:3", "arm:4", "pt:t+1", "pt:t^2+2"]),
+    (PrimeField(7), [3, 3, 3], [3], ["arm:1", "arm:2", "arm:3", "pt:t+6", "pt:t^2+1"]),
+]
+
+
+@pytest.mark.parametrize("field, weights, params, tubes", MOUTH_FAMILIES)
+def test_mouth_orbits_match_the_per_case_builders(field, weights, params, tubes):
+    alg, ref_alg = (canonical_algebra(field, weights, params) for _ in range(2))
+    rng, ref_rng = random.Random(4), random.Random(4)
+    for text in tubes:
+        tube = TubeId.parse(field, text)
+        orbit = regular_simples(alg, tube, rng)
+        expected = reference_mouth_orbit(ref_alg, tube, ref_rng)
+        assert [_entries(s) for s in orbit] == [_entries(s) for s in expected], text
+        assert rng.getstate() == ref_rng.getstate(), text
 
 
 def test_tau_periods():

@@ -44,7 +44,7 @@ def test_all_tubular_types_build():
         assert tub.delta_zero(projective_at(alg, "c").dims) < 0
         assert tub.delta_infinity(injective_at(alg, "0").dims) > 0
         # the calibration module is a middle vertex simple with slope 1
-        assert slope(tub.calibration_module, tub, certified=True) == Slope.of(1)
+        assert slope(tub.calibration_module, tub) == Slope.of(1)
 
 
 def test_delta_vanishing_on_quotient_regulars():
@@ -75,7 +75,7 @@ def test_canonical_family_has_slope_one():
     tub = tub2222()
     rng = random.Random(1)
     for m in canonical_family_pool(tub, rng):
-        assert slope(m, tub, rng, certified=True) == Slope.of(1)
+        assert slope(m, tub, rng) == Slope.of(1)
 
 
 def test_slope_errors_on_extreme_components():
