@@ -395,7 +395,9 @@ class FunctionField:
         return self.make(num)
 
     def parse_base(self, s: str):
-        return self.base.parse_base(s)
+        """A constant of the coefficient field: a point label's coefficients
+        are these, so a coefficient that needs t itself is a parse error."""
+        return self.coerce(self.base.parse_base(s))
 
     def parse(self, s: str):
         s = s.strip()
@@ -407,7 +409,7 @@ class FunctionField:
                 raise ParseError(f"zero denominator in {s!r}")
             return self.make(num, den)
         if "/" in s and _VAR not in s:
-            return self.coerce(self.base.parse_base(s))
+            return self.parse_base(s)
         try:
             return self.make(poly_parse(self.base, s))
         except ParseError:

@@ -116,13 +116,13 @@ class ExtClass:
 class ExtSpace:
     """Ext^1(N, M) = coker(Hom(P0, M) -> Hom(Omega, M)), with a chosen basis."""
 
-    def __init__(self, n: Representation, m: Representation, pres: Presentation = None):
+    def __init__(self, n: Representation, m: Representation):
         if not n.algebra.same_as(m.algebra):
             raise AlgebraError("Ext between representations over different algebras")
         self.source = n
         self.target = m
         self.field = n.field
-        self.pres = pres if pres is not None else minimal_projective_presentation(n)
+        self.pres = minimal_projective_presentation(n)
         ker = _hom_system(self.pres.omega, m).kernel_basis()
         basis_cols = [ker.col(j) for j in range(ker.cols)]
         img_cols = _p0_image_columns(self.pres, m) if basis_cols else []

@@ -3,8 +3,10 @@
 The splitter (``_split_leaves``) computes a basis of End(m) and walks it once,
 in order, taking each element's minimal polynomial (``exactla``'s one
 incremental routine, on the vertex maps together) and factoring it: over F_p
-with ``exactla``'s Berlekamp factorizer, over Q and k(t) through sympy,
-imported on first use.
+with ``exactla``'s Berlekamp factorizer, over Q and Q(t) through sympy,
+imported on first use.  Over F_p(t) a polynomial of degree >= 2 has no
+factoring backend: ``factor_poly`` raises DecompositionError, and the splitter
+and ``is_brick`` let it through rather than read it as "no split".
 
 - If the polynomial has two or more distinct monic factors, m splits into the
   kernels of their powers (each raised to its multiplicity), and the splitter
@@ -116,9 +118,10 @@ def factor_poly(field, coeffs):
         return _factor_rational(field, coeffs)
     if isinstance(field, PrimeField):
         return poly_factor_fp(field, coeffs)
-    if isinstance(field, FunctionField):
+    if isinstance(field, FunctionField) and field.base.kind == "Q":
         return _factor_function_field(field, coeffs)
-    raise DecompositionError(f"no factorization backend for {field!r}")
+    raise DecompositionError(f"no factorization backend for degree {len(coeffs) - 1} "
+                             f"over {field!r}")
 
 
 def _factor_rational(field, coeffs):
@@ -137,6 +140,7 @@ def _factor_rational(field, coeffs):
 
 
 def _factor_function_field(field, coeffs):
+    """Factor over Q(t) with sympy, in the two variables x and t."""
     import sympy
 
     B = field.base
@@ -149,19 +153,13 @@ def _factor_function_field(field, coeffs):
         quo, _ = poly_divmod(B, g, gc)
         common = poly_mul(B, common, quo)
 
-    def base_to_sympy(val):
-        return sympy.Rational(val) if B.kind == "Q" else sympy.Integer(val)
-
     expr = sympy.Integer(0)
     for i, c in enumerate(coeffs):
         num = poly_mul(B, c.num, poly_divmod(B, common, c.den)[0])
         for j, cv in enumerate(num):
             if cv != B.zero:
-                expr += base_to_sympy(cv) * t**j * x**i
-    if B.kind == "Q":
-        _, factors = sympy.factor_list(expr, x, t)
-    else:
-        _, factors = sympy.factor_list(expr, x, t, modulus=B.p)
+                expr += sympy.Rational(cv) * t**j * x**i
+    _, factors = sympy.factor_list(expr, x, t)
     out = []
     deg_seen = 0
     for fac, mult in factors:
@@ -172,11 +170,7 @@ def _factor_function_field(field, coeffs):
         for c_expr in reversed(pf.all_coeffs()):
             ct = sympy.Poly(c_expr, t)
             raw = list(reversed(ct.all_coeffs())) if not ct.is_zero else []
-            if B.kind == "Q":
-                num = tuple(Fraction(str(v)) for v in raw)
-            else:
-                num = tuple(int(v) % B.p for v in raw)
-            comps.append(field.make(num))
+            comps.append(field.make(tuple(Fraction(str(v)) for v in raw)))
         lead_inv = field.inv(comps[-1])
         monic = tuple(field.mul(c, lead_inv) for c in comps)
         out.append((monic, int(mult)))
@@ -212,13 +206,10 @@ class Decomposition:
 
 
 def _factored(m: Representation, phi: Morphism):
-    """(minimal polynomial of phi, its [(monic factor, multiplicity)]); the
-    factors are None when the polynomial cannot be factored."""
+    """(minimal polynomial of phi, its [(monic factor, multiplicity)]); a
+    polynomial that cannot be factored raises DecompositionError."""
     minpoly = endo_minimal_polynomial(phi)
-    try:
-        return minpoly, factor_poly(m.field, minpoly)
-    except DecompositionError:
-        return minpoly, None
+    return minpoly, factor_poly(m.field, minpoly)
 
 
 def _primary_split(m: Representation, phi: Morphism, factors):
@@ -227,7 +218,7 @@ def _primary_split(m: Representation, phi: Morphism, factors):
     ``factors`` are those of phi's minimal polynomial; the piece of a factor
     is the kernel of fac(phi)^mult, mult its multiplicity.
     """
-    if factors is None or len(factors) < 2:
+    if len(factors) < 2:
         return None
     pieces = []
     for fac, mult in factors:
@@ -372,7 +363,7 @@ def _split(m: Representation, basis, rng, trials):
         pieces = _primary_split(m, phi, factors)
         if pieces:
             return pieces, True
-        if generates and factors is not None:
+        if generates:
             # certified local: End(m) = F[phi] = F[x]/(mu), mu a power of one irreducible
             _skip_draws(m.field, rng, trials * len(basis))
             return None, True
@@ -519,7 +510,7 @@ def _exact_brick(m: Representation, basis):
     if len(basis) == 1:
         return True
     for _, factors, generates in _basis_walk(m, basis):
-        if factors is not None and (generates or not _irreducible(factors)):
+        if generates or not _irreducible(factors):
             return _irreducible(factors)
     F = m.field
     if not isinstance(F, PrimeField):

@@ -1,11 +1,23 @@
 """Slopes for tubular canonical algebras (weight types 2222, 333, 244, 236).
 
-The two defects come from the tame concealed quotients: kill the source
-vertex for the 0-side, the sink for the ∞-side; each is the primitive
-radical vector of the quotient's symmetrized Euler form paired through the
-full Euler form, sign-normalized on P(c) and S(0).  The slope is the
-calibrated ratio of the two defects; order-compatibility with Hom-vanishing
-is a verified contract, not an assumption.
+The tubular families are indexed by slopes in Q+ together with 0 and ∞.  The
+two extreme sides mirror each other, and each is stated once:
+
+- its defect (``_side_defect``): kill the source for the 0-side, the sink for
+  the ∞-side.  The quotient is tame concealed; its primitive radical vector,
+  0 at the killed vertex and signed so that P(sink) is negative on the 0-side
+  and I(source) positive on the ∞-side, pairs with a dimension vector through
+  the full Euler form;
+- its seeds (``_subspace_quotient_regulars``, weight type (2,2,2,2) only):
+  arm middles joined to the sink by columns on the 0-side, and out of the
+  source by the transposed rows on the ∞-side;
+- its extreme module in ``slope_pool``: P(source) on the 0-side, I(sink) on
+  the ∞-side, kept when the side's defect vanishes on it.
+
+The slope is the calibrated ratio of the two defects (slope 1 on the least
+middle vertex simple); the pools strictly between 0 and ∞ other than 1 are
+extension middles of a side's pool and the slope-1 family.  Order
+compatibility with Hom-vanishing is a verified contract, not an assumption.
 """
 
 from __future__ import annotations
@@ -38,22 +50,25 @@ TUBULAR_TYPES = {(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)}
 @total_ordering
 @dataclass(frozen=True)
 class Slope:
-    """A point of Q+ together with the endpoints 0 and ∞."""
+    """A point of Q+ together with the endpoints 0 and ∞ (value None)."""
 
-    infinite: bool
     value: Fraction | None
+
+    @property
+    def infinite(self) -> bool:
+        return self.value is None
 
     @classmethod
     def of(cls, q) -> "Slope":
-        return cls(False, Fraction(q))
+        return cls(Fraction(q))
 
     @classmethod
     def zero(cls) -> "Slope":
-        return cls(False, Fraction(0))
+        return cls(Fraction(0))
 
     @classmethod
     def infinity(cls) -> "Slope":
-        return cls(True, None)
+        return cls(None)
 
     def __lt__(self, other: "Slope") -> bool:
         if self.infinite:
@@ -85,26 +100,18 @@ class TubularAlgebra:
                 f"weights {algebra.weights} are not tubular "
                 f"(need one of {sorted(TUBULAR_TYPES)})")
         self.algebra = algebra
-        self.quotient_zero = _kill_vertex(algebra, SOURCE)
-        self.quotient_infinity = _kill_vertex(algebra, SINK)
-        self._h_zero = _embedded_radical(algebra, self.quotient_zero, SOURCE)
-        self._h_infinity = _embedded_radical(algebra, self.quotient_infinity, SINK)
-        # the signs make P(sink) negative on the 0-side and I(source) positive on the ∞-side
-        d0 = algebra.euler_form(self._h_zero, projective_at(algebra, SINK).dims)
-        if d0 == 0:
-            raise AlgebraError("could not sign-normalize the 0-side defect")
-        self._sign_zero = -1 if d0 > 0 else 1
-        dinf = algebra.euler_form(self._h_infinity, injective_at(algebra, SOURCE).dims)
-        if dinf == 0:
-            raise AlgebraError("could not sign-normalize the ∞-side defect")
-        self._sign_infinity = -1 if dinf < 0 else 1
+        # P(sink) is negative on the 0-side, I(source) positive on the ∞-side
+        self.quotient_zero, self._h_zero = _side_defect(
+            algebra, SOURCE, projective_at(algebra, SINK).dims, -1, "0-side")
+        self.quotient_infinity, self._h_infinity = _side_defect(
+            algebra, SINK, injective_at(algebra, SOURCE).dims, 1, "∞-side")
         self._calibrate()
 
     def delta_zero(self, dims: dict) -> int:
-        return self._sign_zero * self.algebra.euler_form(self._h_zero, dims)
+        return self.algebra.euler_form(self._h_zero, dims)
 
     def delta_infinity(self, dims: dict) -> int:
-        return self._sign_infinity * self.algebra.euler_form(self._h_infinity, dims)
+        return self.algebra.euler_form(self._h_infinity, dims)
 
     def _calibrate(self):
         """Fix the slope-1 normalization on a minimal middle-family module.
@@ -145,19 +152,21 @@ class TubularAlgebra:
         return Slope.of(Fraction(self._c_infinity * d0, self._c_zero * (-di)))
 
 
-def _kill_vertex(alg: CanonicalAlgebra, v: str) -> QuiverAlgebra:
-    vertices = [w for w in alg.vertices if w != v]
-    arrows = [a for a in alg.arrows if v not in (a.source, a.target)]
-    return QuiverAlgebra(alg.field, vertices, arrows)
-
-
-def _embedded_radical(alg, quotient, killed) -> dict:
+def _side_defect(alg: CanonicalAlgebra, killed: str, probe_dims: dict, sign: int,
+                 name: str):
+    """(quotient, h): the quotient killing ``killed`` and its radical vector h,
+    0 at ``killed`` and signed so that <h, probe_dims> has the sign ``sign``."""
+    quotient = QuiverAlgebra(alg.field, [w for w in alg.vertices if w != killed],
+                             [a for a in alg.arrows if killed not in (a.source, a.target)])
     kers = quotient.symmetrized_euler_kernel()
     if len(kers) != 1:
         raise AlgebraError("quotient is not tame concealed (radical rank != 1)")
-    vec = dict(zip(quotient.vertices, kers[0]))
-    vec[killed] = 0
-    return {v: vec.get(v, 0) for v in alg.vertices}
+    h = dict(zip(quotient.vertices, kers[0]))
+    probe = alg.euler_form(h, probe_dims)
+    if probe == 0:
+        raise AlgebraError(f"could not sign-normalize the {name} defect")
+    flip = 1 if (probe > 0) == (sign > 0) else -1
+    return quotient, {v: flip * h.get(v, 0) for v in alg.vertices}
 
 
 def slope(m: Representation, tub: TubularAlgebra, rng=None) -> Slope:
@@ -192,26 +201,23 @@ def slope_order_check(m: Representation, n: Representation, tub: TubularAlgebra,
 # ---------------------------------------------------------------------------
 
 def _valid_scalars(alg, count):
-    """Deterministic scalars other than the arm points, for homogeneous tube labels."""
+    """The first ``count`` distinct scalars among 1, 2, ... that are not arm
+    points, for homogeneous tube labels."""
     F = alg.field
-    out = []
     specials = {alg.arm_point(i) for i in range(1, alg.arm_count + 1)}
-    k = 1
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 1000:
-            raise AlgebraError("field too small for homogeneous labels")
+    out = []
+    for k in range(1, count + len(specials) + 1):
         val = F.from_int(k)
-        k += 1
-        if val in specials or val in out:
-            continue
-        out.append(val)
-    return out
+        if val not in specials and val not in out:
+            out.append(val)
+    if len(out) < count:
+        raise AlgebraError("field too small for homogeneous labels")
+    return out[:count]
 
 
-def canonical_family_pool(tub: TubularAlgebra, rng=None, depth: int = 2):
-    """Members of the defect-zero family (slope 1 after calibration)."""
+def canonical_family_pool(tub: TubularAlgebra, rng=None):
+    """Members of the defect-zero family (slope 1 after calibration): the arm
+    mouths, and two homogeneous tubes' mouths with their length-2 modules."""
     alg = tub.algebra
     rng = rng if rng is not None else random.Random(0)
     pool = []
@@ -220,72 +226,52 @@ def canonical_family_pool(tub: TubularAlgebra, rng=None, depth: int = 2):
     for a in _valid_scalars(alg, 2):
         tube = TubeId.for_point((alg.field.neg(a), alg.field.one))
         pool.extend(regular_simples(alg, tube, rng))
-        if depth >= 2:
-            pool.append(uniserial_tower(alg, tube, 0, 2, rng).top_module)
+        pool.append(uniserial_tower(alg, tube, 0, 2, rng).top_module)
     return pool
 
 
 def _subspace_quotient_regulars(tub: TubularAlgebra, side: str, rng):
-    """Regular modules of the killed-vertex quotient for weight type (2,2,2,2).
+    """The bricks among the seeds of a side's family, for weight type (2,2,2,2).
 
-    side "zero": modules with no source support (the t_0 family seeds);
-    side "infinity": the dual seeds with no sink support.
+    A seed joins arm i's middle vertex to the side's end vertex by a vector:
+    on side "zero" (no source support, the t_0 seeds) into the sink by x{i}.2,
+    as a column; on side "infinity" (no sink support) out of the source by
+    x{i}.1, as the transposed row.  Per valid scalar a, a four-arm seed has
+    the vectors (1,0), (0,1), (1,1), (1,a); then the exceptional mouths are
+    the two-arm seeds with the vector (1) on arms 1,2, then 3,4, then 1,3.
     """
     alg = tub.algebra
     F = alg.field
     if tuple(sorted(alg.weights)) != (2, 2, 2, 2):
         return []
-    mids = [arm_vertex(i, 1) for i in range(1, 5)]
-    out = []
+    end, arrow, orient = ((SINK, "x{}.2", lambda col: col) if side == "zero"
+                          else (SOURCE, "x{}.1", Matrix.transpose))
+
+    def seed(arms, vectors):
+        dims = {arm_vertex(i, 1): 1 for i in arms}
+        dims[end] = len(vectors[0])
+        arrows = {arrow.format(i): orient(Matrix.column(F, vec))
+                  for i, vec in zip(arms, vectors)}
+        return Representation(alg, dims, arrows)
+
     lines = [(F.one, F.zero), (F.zero, F.one), (F.one, F.one)]
-    for a in _valid_scalars(alg, 2):
-        cols = lines + [(F.one, a)]
-        dims = {v: 1 for v in mids}
-        arrows = {}
-        if side == "zero":
-            dims[SINK] = 2
-            dims[SOURCE] = 0
-            for i, col in enumerate(cols, start=1):
-                arrows[f"x{i}.2"] = Matrix(F, 2, 1, [[col[0]], [col[1]]])
-        else:
-            dims[SOURCE] = 2
-            dims[SINK] = 0
-            for i, col in enumerate(cols, start=1):
-                arrows[f"x{i}.1"] = Matrix(F, 1, 2, [[col[0], col[1]]])
-        rep = Representation(alg, dims, arrows)
-        if is_brick(rep, rng):
-            out.append(rep)
-    # exceptional mouths: supported on two arms at a time
-    for pair in ((1, 2), (3, 4), (1, 3)):
-        dims = {arm_vertex(i, 1): 1 for i in pair}
-        arrows = {}
-        if side == "zero":
-            dims[SINK] = 1
-            for i in pair:
-                arrows[f"x{i}.2"] = Matrix.identity(F, 1)
-        else:
-            dims[SOURCE] = 1
-            for i in pair:
-                arrows[f"x{i}.1"] = Matrix.identity(F, 1)
-        rep = Representation(alg, dims, arrows)
-        if is_brick(rep, rng):
-            out.append(rep)
-    return out
+    seeds = [seed((1, 2, 3, 4), lines + [(F.one, a)]) for a in _valid_scalars(alg, 2)]
+    seeds += [seed(pair, [(F.one,)] * 2) for pair in ((1, 2), (3, 4), (1, 3))]
+    return [rep for rep in seeds if is_brick(rep, rng)]
 
 
 def slope_pool(tub: TubularAlgebra, target: Slope, rng=None, budget: int = 16):
     """Constructible indecomposables of exactly the requested slope."""
     rng = rng if rng is not None else random.Random(0)
-    if target == Slope.zero():
-        cands = _subspace_quotient_regulars(tub, "zero", rng)
-        p0 = projective_at(tub.algebra, SOURCE)
-        if tub.delta_zero(p0.dims) == 0 and is_brick(p0, rng):
-            cands.append(p0)
-    elif target.infinite:
-        cands = _subspace_quotient_regulars(tub, "infinity", rng)
-        ic = injective_at(tub.algebra, SINK)
-        if tub.delta_infinity(ic.dims) == 0 and is_brick(ic, rng):
-            cands.append(ic)
+    if target == Slope.zero() or target.infinite:
+        # the side's seeds, then its extreme module if the side's defect vanishes on it
+        if target.infinite:
+            side, extreme, delta = "infinity", injective_at(tub.algebra, SINK), tub.delta_infinity
+        else:
+            side, extreme, delta = "zero", projective_at(tub.algebra, SOURCE), tub.delta_zero
+        cands = _subspace_quotient_regulars(tub, side, rng)
+        if delta(extreme.dims) == 0 and is_brick(extreme, rng):
+            cands.append(extreme)
     elif target == Slope.of(1):
         cands = canonical_family_pool(tub, rng)
     else:

@@ -3,9 +3,10 @@
 import itertools
 from types import SimpleNamespace
 
+from canrep.errors import AlgebraError
 from canrep.exactla import Matrix, PrimeField, RationalField, companion_matrix, poly_trim
 from canrep.homology import ExtSpace, ShortExactSequence, tau_inverse
-from canrep.quiver_algebra import canonical_algebra
+from canrep.quiver_algebra import SINK, SOURCE, QuiverAlgebra, arm_vertex, canonical_algebra
 from canrep.repcat import (
     Morphism,
     Representation,
@@ -15,15 +16,19 @@ from canrep.repcat import (
     factor_through_surjection,
     hom_basis,
     image,
+    injective_at,
+    is_brick,
     is_isomorphic,
     kernel,
     linear_combination,
     minimal_projective_presentation,
+    projective_at,
     projective_cover,
     radical,
     span_coordinates,
 )
 from canrep.trisection import _verify_mouth
+from canrep.tubular_slopes import Slope
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -256,8 +261,9 @@ def reference_pullback(g, ses):
 
 def reference_kills_classes(space, inclusion):
     """Whether every basis class of space = Ext^1(N, M), pushed along inclusion,
-    has zero coordinates in a second ExtSpace Ext^1(N, X) on the same presentation."""
-    target = ExtSpace(space.source, inclusion.target, space.pres)
+    has zero coordinates in a second ExtSpace Ext^1(N, X) on the same presentation
+    (the one kept on N)."""
+    target = ExtSpace(space.source, inclusion.target)
     return all(target.class_of_cocycle(inclusion.after(cls.cocycle)).is_zero()
                for cls in space.basis())
 
@@ -506,3 +512,111 @@ def reference_mouth_orbit(alg, tube, rng):
         remaining.remove(match)
     assert is_isomorphic(tau_inverse(orbit[-1]), orbit[0], rng) is not None
     return orbit
+
+
+# ---------------------------------------------------------------------------
+# tubular slopes: the side defects, homogeneous scalars and (2, 2, 2, 2)
+# seeds written out per side
+# ---------------------------------------------------------------------------
+
+def reference_side_defects(alg):
+    """{side: (quotient vertices, radical vector, sign)}: the killed-vertex
+    quotient of each side, its radical vector embedded with 0 at the killed
+    vertex, and the sign making P(sink) negative on the 0-side and I(source)
+    positive on the ∞-side; a side's defect is sign * <h, dims>."""
+    out = {}
+    for side, killed in (("zero", SOURCE), ("infinity", SINK)):
+        vertices = [w for w in alg.vertices if w != killed]
+        arrows = [a for a in alg.arrows if killed not in (a.source, a.target)]
+        quotient = QuiverAlgebra(alg.field, vertices, arrows)
+        kers = quotient.symmetrized_euler_kernel()
+        assert len(kers) == 1
+        vec = dict(zip(quotient.vertices, kers[0]))
+        vec[killed] = 0
+        out[side] = [quotient.vertices, {v: vec.get(v, 0) for v in alg.vertices}, None]
+    d0 = alg.euler_form(out["zero"][1], projective_at(alg, SINK).dims)
+    dinf = alg.euler_form(out["infinity"][1], injective_at(alg, SOURCE).dims)
+    assert d0 != 0 and dinf != 0
+    out["zero"][2] = -1 if d0 > 0 else 1
+    out["infinity"][2] = -1 if dinf < 0 else 1
+    return {side: tuple(entry) for side, entry in out.items()}
+
+
+def reference_valid_scalars(alg, count):
+    """The first ``count`` of 1, 2, ... in the field that are no arm point."""
+    F = alg.field
+    out = []
+    specials = {alg.arm_point(i) for i in range(1, alg.arm_count + 1)}
+    k = 1
+    guard = 0
+    while len(out) < count:
+        guard += 1
+        if guard > 1000:
+            raise AlgebraError("field too small for homogeneous labels")
+        val = F.from_int(k)
+        k += 1
+        if val in specials or val in out:
+            continue
+        out.append(val)
+    return out
+
+
+def reference_subspace_quotient_regulars(tub, side, rng):
+    """The bricks among the (2, 2, 2, 2) seeds of a side, each side's branch
+    written out: four-arm seeds per valid scalar into the sink (side "zero")
+    or out of the source (side "infinity"), then three two-arm seeds."""
+    alg = tub.algebra
+    F = alg.field
+    if tuple(sorted(alg.weights)) != (2, 2, 2, 2):
+        return []
+    mids = [arm_vertex(i, 1) for i in range(1, 5)]
+    out = []
+    lines = [(F.one, F.zero), (F.zero, F.one), (F.one, F.one)]
+    for a in reference_valid_scalars(alg, 2):
+        cols = lines + [(F.one, a)]
+        dims = {v: 1 for v in mids}
+        arrows = {}
+        if side == "zero":
+            dims[SINK] = 2
+            dims[SOURCE] = 0
+            for i, col in enumerate(cols, start=1):
+                arrows[f"x{i}.2"] = Matrix(F, 2, 1, [[col[0]], [col[1]]])
+        else:
+            dims[SOURCE] = 2
+            dims[SINK] = 0
+            for i, col in enumerate(cols, start=1):
+                arrows[f"x{i}.1"] = Matrix(F, 1, 2, [[col[0], col[1]]])
+        rep = Representation(alg, dims, arrows)
+        if is_brick(rep, rng):
+            out.append(rep)
+    for pair in ((1, 2), (3, 4), (1, 3)):
+        dims = {arm_vertex(i, 1): 1 for i in pair}
+        arrows = {}
+        if side == "zero":
+            dims[SINK] = 1
+            for i in pair:
+                arrows[f"x{i}.2"] = Matrix.identity(F, 1)
+        else:
+            dims[SOURCE] = 1
+            for i in pair:
+                arrows[f"x{i}.1"] = Matrix.identity(F, 1)
+        rep = Representation(alg, dims, arrows)
+        if is_brick(rep, rng):
+            out.append(rep)
+    return out
+
+
+def reference_extreme_pool(tub, side, rng, budget):
+    """``slope_pool`` at 0 (side "zero") or ∞ (side "infinity"), from the
+    reference seeds and the side's extreme module, P(source) or I(sink)."""
+    alg = tub.algebra
+    cands = reference_subspace_quotient_regulars(tub, side, rng)
+    if side == "zero":
+        target, extreme, delta = Slope.zero(), projective_at(alg, SOURCE), tub.delta_zero
+    else:
+        target, extreme, delta = Slope.infinity(), injective_at(alg, SINK), tub.delta_infinity
+    if delta(extreme.dims) == 0 and is_brick(extreme, rng):
+        cands.append(extreme)
+    out = [c for c in cands if c.total_dim <= budget and tub.slope_of_dims(c.dims) == target]
+    out.sort(key=lambda r: (r.total_dim, tuple(r.dims[v] for v in alg.vertices)))
+    return out

@@ -151,9 +151,9 @@ def test_left_approx_builds_ext_spaces_only_on_mouths(monkeypatch):
     sources = []
     init = ExtSpace.__init__
 
-    def recording(self, n, m, pres=None):
+    def recording(self, n, m):
         sources.append(n)
-        init(self, n, m, pres)
+        init(self, n, m)
     monkeypatch.setattr(ExtSpace, "__init__", recording)
     ap = left_omega_approx(pc0, params, random.Random(1))
     assert ap.blocks and sources

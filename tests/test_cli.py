@@ -367,3 +367,35 @@ def test_subcommand_help_exits_0(capsys, name):
         main([name, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: canrep {name} ")
+
+
+@pytest.mark.parametrize("label, degree", [("pt:t+1", 1), ("pt:t^2+1", 2)])
+def test_a_point_label_over_qt_has_constant_coefficients(tmp_path, capsys, label, degree):
+    # a k(t) label is a polynomial in t with coefficients in k: it gives the mouth
+    # of its tube, and a coefficient that needs the field's own t is a parse error
+    alg_path = tmp_path / "kron_qt.json"
+    alg_path.write_text(KRON_QT)
+    code, out = run(capsys, ["tube-simples", "--algebra", str(alg_path), "--tube", label])
+    assert code == 0
+    simples = json.loads(out)["simples"]
+    assert [s["dims"] for s in simples] == [{"0": degree, "c": degree}]
+    code, out = run(capsys, ["tube-simples", "--algebra", str(alg_path), "--tube", "pt:(t)"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "parse", "message": "bad rational 't'"}
+
+
+def test_factoring_over_fpt_is_a_domain_error(tmp_path, capsys):
+    # S_t (+) S_{t+1} over F_5(t): the minimal polynomial of x2 has degree 2, which
+    # no backend factors over F_p(t), so the splitter reports no certified leaf
+    rep_path = tmp_path / "diag.json"
+    rep_path.write_text(_rep_text(KRON_F5T, '{"0": 2, "c": 2}',
+                                  '{"x1": [["1", "0"], ["0", "1"]], '
+                                  '"x2": [["t", "0"], ["0", "t+1"]]}'))
+    alg_path = tmp_path / "kron_f5t.json"
+    alg_path.write_text(KRON_F5T)
+    for argv in (["decompose", "--seed", "0", "--rep", str(rep_path)],
+                 ["tube-simples", "--algebra", str(alg_path), "--tube", "pt:t^2+2"]):
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "domain", "message": "no factorization backend for degree 2 over F5(t)"}

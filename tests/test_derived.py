@@ -305,9 +305,9 @@ def test_left_certificates_reuse_the_universal_extensions_spaces(monkeypatch):
     built = []
     init = ExtSpace.__init__
 
-    def counted(self, n, m, pres=None):
+    def counted(self, n, m):
         built.append((n, m))
-        init(self, n, m, pres)
+        init(self, n, m)
 
     monkeypatch.setattr(ExtSpace, "__init__", counted)
     alg = kron(QQ)
@@ -404,7 +404,7 @@ def test_a_split_from_random_candidates_is_not_kept(monkeypatch):
 
     def no_split(m, basis):
         for phi, _, _ in walk(m, basis):
-            yield phi, None, False
+            yield phi, [], False
 
     monkeypatch.setattr(decomp, "_basis_walk", no_split)
     m = conjugate(direct_sum([kron_point(kron(F5), 1), kron_point(kron(F5), 2)]).rep,
@@ -417,9 +417,9 @@ def test_a_split_from_random_candidates_is_not_kept(monkeypatch):
 
 
 def test_a_polynomial_that_cannot_be_factored_gives_no_split(monkeypatch):
-    """A factoring failure reads as no split and no certificate: the sum of two
-    Kronecker mouths from distinct tubes stays one leaf, nothing is kept, and
-    once factoring works again the splitter finds both summands."""
+    """A factoring failure reaches the caller: the sum of two Kronecker mouths
+    from distinct tubes is not reported as one certified leaf, nothing is kept,
+    and once factoring works again the splitter finds both summands."""
     alg = kron(F5)
     mouths = [regular_simples(alg, TubeId.for_point(p))[0] for p in ((0, 1), (4, 1))]
     m = conjugate(direct_sum(mouths).rep, random.Random(32))
@@ -429,7 +429,8 @@ def test_a_polynomial_that_cannot_be_factored_gives_no_split(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(decomp, "factor_poly", refuse)
-        assert [leaf for leaf, _ in indecomposable_summands(m, random.Random(33))] == [m]
+        with pytest.raises(DecompositionError):
+            indecomposable_summands(m, random.Random(33))
     assert core._derived_slot(m).split is None
     leaves = indecomposable_summands(m, random.Random(33))
     assert sorted(leaf.dims_tuple() for leaf, _ in leaves) == [(1, 1), (1, 1)]

@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 from canrep.errors import DecompositionError
-from canrep.exactla import PrimeField, poly_mul
+from canrep.exactla import FunctionField, PrimeField, poly_mul
 from canrep.repcat import decomp, factor_poly, is_irreducible_poly
 
 from helpers import F2, F3, F5
@@ -134,3 +134,16 @@ def test_irreducibility_and_the_callers_rng():
     assert not is_irreducible_poly(F2, (1, 0, 1))       # (x + 1)^2
     assert factor_poly(F7, (1, 2, 3, 4, 5, 6, 1)) == sympy_factors(F7, (1, 2, 3, 4, 5, 6, 1))
     assert random.getstate() == state
+
+
+def test_function_fields_over_f_p_refuse_degree_two_and_up(monkeypatch):
+    # sympy has no bivariate factoring over F_p: the refusal comes before it
+    monkeypatch.setattr(decomp, "_factor_function_field", None)
+    F = FunctionField(F5)
+    t = F.gen
+    assert factor_poly(F, (t, F.one)) == [((t, F.one), 1)]
+    for coeffs in [(t, F.zero, F.one), (F.one, t, F.zero, F.one)]:
+        with pytest.raises(DecompositionError):
+            factor_poly(F, coeffs)
+        with pytest.raises(DecompositionError):
+            is_irreducible_poly(F, coeffs)

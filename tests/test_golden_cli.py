@@ -23,7 +23,12 @@ over F_5, so every case of the mouth builder prints; and
 ``chain`` (``w2222_chain_f5``: ``--ratios 0,1,∞`` on the tubular algebra
 (2, 2, 2, 2) over F_5 of ``w2222_f5.alg.json``, whose monomorphism search
 meets 15 pairs with Hom != 0 where the dimensions already rule out a
-monomorphism, so it pins the draws replayed for them).  The
+monomorphism, so it pins the draws replayed for them); and the slope layer
+on the same algebra, with its P(0) (``w2222_p0.json``) and I(c)
+(``w2222_ic.json``): ``slope`` on P(0) (slope 0), ``slope --format tsv`` on
+I(c) (slope ∞), ``slope-check`` of I(c) against P(0), and
+``w2222_chain_sides_f5`` (``--ratios 0,1/2,1,2,∞``), which builds both
+sides' pools and the extension middles below and above slope 1.  The
 ``omega_left`` inputs P(c) (+) P(0) and P(0) reach several tower blocks, so
 the block maps of their universal extensions have several parts.
 ``kron_omega_left_repeated_tube`` names the tube ``pt:t`` twice; its

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from canrep.errors import AlgebraError, ChainError, ParseError, TubeError
+from canrep.exactla import PrimeField
 from canrep.homology import tau
 from canrep.quiver_algebra import canonical_algebra
 from canrep.repcat import (
@@ -15,6 +16,9 @@ from canrep.repcat import (
 from canrep.tubular_slopes import (
     Slope,
     TubularAlgebra,
+    _side_defect,
+    _subspace_quotient_regulars,
+    _valid_scalars,
     canonical_family_pool,
     chain_toward_slope,
     slope,
@@ -22,7 +26,16 @@ from canrep.tubular_slopes import (
     slope_pool,
 )
 
-from helpers import F5, QQ
+from helpers import (
+    F5,
+    QQ,
+    reference_extreme_pool,
+    reference_side_defects,
+    reference_subspace_quotient_regulars,
+    reference_valid_scalars,
+)
+
+TUBULAR_SPECS = [((2, 2, 2, 2), [2, 3]), ((3, 3, 3), [2]), ((2, 4, 4), [2]), ((2, 3, 6), [2])]
 
 
 def tub2222(field=None):
@@ -69,6 +82,20 @@ def test_radical_self_annihilation():
     tub = tub2222()
     assert tub.delta_zero(tub._h_zero) == 0
     assert tub.delta_infinity(tub._h_infinity) == 0
+
+
+def test_side_defect_signs_its_radical_on_the_probe():
+    # the kernel vectors come out positive on every tubular type, so ask for the
+    # opposite sign to see the flip; a probe the radical pairs to 0 is refused
+    alg = tub2222().algebra
+    probe = projective_at(alg, "c").dims
+    quotient, h = _side_defect(alg, "0", probe, -1, "0-side")
+    assert "0" not in quotient.vertices and h["0"] == 0
+    _, flipped = _side_defect(alg, "0", probe, 1, "0-side")
+    assert flipped == {v: -x for v, x in h.items()}
+    assert alg.euler_form(h, probe) < 0 < alg.euler_form(flipped, probe)
+    with pytest.raises(AlgebraError, match="could not sign-normalize the 0-side defect"):
+        _side_defect(alg, "0", h, -1, "0-side")
 
 
 def test_canonical_family_has_slope_one():
@@ -159,3 +186,55 @@ def test_chain_composite_mono():
     for step in chain.inclusions[1:]:
         comp = step.after(comp)
     assert comp.is_injective()
+
+
+def _scalars_or_error(scalars, alg, count):
+    try:
+        return scalars(alg, count)
+    except AlgebraError as exc:
+        return str(exc)
+
+
+def _entries(reps):
+    return [(m.dims_tuple(), sorted((k, a.data) for k, a in m.arrows.items())) for m in reps]
+
+
+@pytest.mark.parametrize("field", [F5, PrimeField(7), QQ], ids=str)
+def test_side_defects_seeds_and_pools_match_the_reference(field):
+    """Each side's defect, seeds and extreme pool, and the homogeneous scalars,
+    against the per-side constructions of ``tests/helpers.py``, with rng where
+    the reference leaves it."""
+    dims_rng = random.Random(11)
+    for weights, params in TUBULAR_SPECS:
+        params = [field.from_int(x) for x in params]
+        tub = TubularAlgebra(canonical_algebra(field, list(weights), params))
+        alg = tub.algebra
+        ref = reference_side_defects(alg)
+        assert tub.quotient_zero.vertices == ref["zero"][0]
+        assert tub.quotient_infinity.vertices == ref["infinity"][0]
+        probes = [{w: int(w == v) for w in alg.vertices} for v in alg.vertices]
+        probes += [{w: dims_rng.randint(0, 2) for w in alg.vertices} for _ in range(30)]
+        for dims in probes:
+            for side, delta in (("zero", tub.delta_zero), ("infinity", tub.delta_infinity)):
+                _, h, sign = ref[side]
+                assert delta(dims) == sign * alg.euler_form(h, dims)
+        for count in range(1, 6):
+            # over F_5 the (2, 2, 2, 2) arm points leave two scalars, so 3 are refused
+            assert _scalars_or_error(_valid_scalars, alg, count) == \
+                _scalars_or_error(reference_valid_scalars, alg, count)
+        for side, target in (("zero", Slope.zero()), ("infinity", Slope.infinity())):
+            for seed in (0, 1):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = _subspace_quotient_regulars(tub, side, rng)
+                want = reference_subspace_quotient_regulars(tub, side, ref_rng)
+                assert _entries(got) == _entries(want)
+                assert rng.getstate() == ref_rng.getstate()
+            # fresh algebras, so no verdict kept on P(source) or I(sink) is shared
+            fresh = [TubularAlgebra(canonical_algebra(field, list(weights), params))
+                     for _ in range(2)]
+            for budget in (8, 12):
+                rng, ref_rng = random.Random(budget), random.Random(budget)
+                got = slope_pool(fresh[0], target, rng, budget)
+                want = reference_extreme_pool(fresh[1], side, ref_rng, budget)
+                assert _entries(got) == _entries(want)
+                assert rng.getstate() == ref_rng.getstate()
